@@ -245,13 +245,43 @@ def test_engine_speedup_and_identity(benchmark):
 STATS_SENDS = 200_000
 
 
+def _synthetic_inventory(np, rng, n_nodes, rounds, sends):
+    """A factored inventory carrying ``sends`` sends on a 4-regular
+    circulant graph: half as broadcast events (four sends each), half as
+    point-to-point rows."""
+    from repro.engines.bulk import Inventory
+
+    offsets = np.array([-2, -1, 1, 2])
+    nbrs = np.sort((np.arange(n_nodes)[:, None] + offsets) % n_nodes, axis=1)
+    events = sends // 8
+    rows = sends // 2
+    p_snd = rng.integers(0, n_nodes, size=rows).astype(np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    return Inventory(
+        n_nodes, rounds,
+        np.arange(n_nodes + 1, dtype=np.int64) * 4,
+        nbrs.ravel().astype(np.int64),
+        rng.integers(0, rounds, size=events).astype(np.int64),
+        rng.integers(0, n_nodes, size=events).astype(np.int64),
+        rng.choice(np.array([0, 4, 6]), size=events).astype(np.int64),
+        rng.integers(8, 64, size=events).astype(np.int64),
+        np.sort(rng.integers(0, rounds, size=rows)).astype(np.int64),
+        p_snd,
+        (p_snd + rng.choice(offsets, size=rows)) % n_nodes,
+        rng.integers(8, 64, size=rows).astype(np.int64),
+        np.arange(rows, dtype=np.int64),
+        empty, empty, empty,
+    )
+
+
 def measure_stats_scaling(sends=STATS_SENDS):
     """Time ``populate_stats`` at a fixed send volume while N grows 4x.
 
     A per-round accumulator that touched every node (the sweep's shape)
-    would slow down ~4x; the bulk reduction groups the send inventory
-    directly, so its runtime must track the send count alone (plus an
-    O(rounds) tail for the round series, held constant here).
+    would slow down ~4x; the bulk reduction groups the factored
+    inventory's broadcast events and point-to-point rows directly, so
+    its runtime must track the event count alone (plus an O(rounds)
+    tail for the round series, held constant here).
     """
     np = pytest.importorskip("numpy")
     from repro.congest.stats import SimulationStats
@@ -261,16 +291,12 @@ def measure_stats_scaling(sends=STATS_SENDS):
     timings = {}
     rng = np.random.default_rng(7)
     for n_nodes in (2_000, 8_000):
-        r = np.sort(rng.integers(0, rounds, size=sends)).astype(np.int64)
-        snd = rng.integers(0, n_nodes, size=sends).astype(np.int64)
-        tgt = (snd + 1 + rng.integers(0, 3, size=sends)) % n_nodes
-        bits = rng.integers(8, 64, size=sends).astype(np.int64)
-        rank = np.arange(sends, dtype=np.int64)
+        inventory = _synthetic_inventory(np, rng, n_nodes, rounds, sends)
         best = None
         for _ in range(3):
             stats = SimulationStats()
             start = time.perf_counter()
-            populate_stats(stats, rounds, n_nodes, r, snd, tgt, bits, rank)
+            populate_stats(stats, inventory)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
             assert stats.message_count == sends

@@ -15,9 +15,10 @@ never steps node objects.  It
    with :mod:`repro.engines.lfmath` carrying the L-float mantissa and
    exponent in int64 arrays, bit-identical to the scalar arithmetic the
    other engines run,
-3. materializes the complete send inventory (round, sender, target,
-   bits, drain rank) and reduces it into :class:`SimulationStats`
-   entirely with array ops, and
+3. builds a *factored* send inventory — one event per node-round
+   broadcast (TreeWave, BfsWave) plus point-to-point rows for the rest —
+   and reduces it into :class:`SimulationStats` with array ops, never
+   listing the wave broadcasts send by send, and
 4. back-fills the node objects (tree / counting / aggregation state and
    lazily-materialized ledgers) so every public observable — results,
    stats, per-node state — is indistinguishable from a ``sweep`` run.
@@ -30,16 +31,16 @@ cross-checks the charged totals, failing with the same
 :class:`~repro.exceptions.WireCodecError` the sweep engine's frame audit
 raises.  When a run needs per-send observability (a tracer, the full
 frame audit, telemetry send/round monitors) or ends exceptionally
-(strict-mode violation, round-limit overrun), the engine *replays* the
-precomputed send inventory through the exact billing sequence of the
-sweep engine's ``_step`` — same drain order, same message objects, same
-partial state at the point of raise.
+(strict-mode violation, round-limit overrun), the engine expands the
+inventory send by send and *replays* it through the exact billing
+sequence of the sweep engine's ``_step`` — same drain order, same
+message objects, same partial state at the point of raise.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -65,13 +66,15 @@ from repro.core.schedule import (
 from repro.engines import lfmath
 from repro.exceptions import (
     CongestViolationError,
+    ProtocolError,
     SimulationNotTerminatedError,
     WireCodecError,
 )
+from repro.wire.bits import uint_bits
 from repro.wire.codec import encode_frame
 from repro.wire.format import TYPE_TAG_BITS
 
-__all__ = ["run_bulk", "populate_stats"]
+__all__ = ["run_bulk", "populate_stats", "Inventory"]
 
 # ---------------------------------------------------------------------------
 # Drain-order slots.
@@ -97,8 +100,8 @@ _SLOT_AGGSTART_FWD = 9  # AggregationPhase.handle_start forward
 _SLOT_AGGVALUE = 10  # AggregationPhase.on_round scheduled send
 _SLOT_STRIDE = 16
 
-# Message kinds in the send inventory (column ``kind``); ``aux`` carries
-# the kind-specific payload handle (a scalar, or a packed pair index).
+# Message kinds of the expanded sends; ``aux`` carries the kind-specific
+# payload handle (a scalar, or a packed pair index).
 _K_TREE_WAVE = 0
 _K_TREE_JOIN = 1
 _K_COUNT = 2
@@ -219,9 +222,7 @@ class _Plan:
         "diameter", "t_max", "base", "horizon",
         "rounds", "done_round",
         "bet_m", "bet_e",
-        "r_col", "snd_col", "tgt_col", "bits_col", "rank",
-        "block_sizes", "py_rows", "deg", "kind_col", "aux_col",
-        "violation",
+        "indptr", "indices", "deg", "py_rows", "inv",
     )
 
 
@@ -439,302 +440,417 @@ def _betweenness_fold(plan: _Plan):
 
 
 # ---------------------------------------------------------------------------
-# send inventory
+# the factored send inventory
 # ---------------------------------------------------------------------------
-def _send_inventory(plan: _Plan, sim, indptr, indices, deg, token_sends):
-    """Materialize every send as parallel (round, sender, target, ...) columns.
+class Inventory(NamedTuple):
+    """Every send of a run, factored into broadcasts and point-to-point rows.
 
-    Tree/census/token/report traffic is O(N + E) and assembled in
-    Python; the BFS-wave broadcasts (S * 2E rows) and the aggregation
-    values (the predecessor rows) are assembled as array ops.
+    A *broadcast event* ``(round, sender, slot, bits)`` is one TreeWave or
+    BfsWave broadcast: it puts one ``bits``-bit message on each of the
+    sender's edges, the j-th neighbour of the CSR row receiving it as
+    send ``seq = j`` of that slot.  The N + S * N events stand for all
+    S * 2E wave sends.  *Point-to-point rows* ``(round, sender, target,
+    bits, rank)`` carry the rest: the O(N + E) tree, census, token,
+    report and announce sends and the AggValue sends to predecessors.
+    Every send's drain rank is ``((round * N + sender) * _SLOT_STRIDE +
+    slot) * N + seq``, so both parts order into one global drain order.
+
+    ``agg_snd`` / ``agg_round`` / ``agg_src`` list the aggregation
+    schedule, one entry per value a node sends, sorted by (sender,
+    round); :func:`populate_stats` holds it to Lemma 4.
+    """
+
+    n_nodes: int
+    rounds: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    b_round: np.ndarray
+    b_snd: np.ndarray
+    b_slot: np.ndarray
+    b_bits: np.ndarray
+    p_round: np.ndarray
+    p_snd: np.ndarray
+    p_tgt: np.ndarray
+    p_bits: np.ndarray
+    p_rank: np.ndarray
+    agg_snd: np.ndarray
+    agg_round: np.ndarray
+    agg_src: np.ndarray
+
+    @property
+    def message_count(self) -> int:
+        fan = np.diff(self.indptr)[self.b_snd]
+        return int(fan.sum()) + int(self.p_round.size)
+
+
+def _rank(r, snd, slot, seq, n_nodes):
+    """Global drain rank of a send (see :class:`Inventory`)."""
+    return ((r * n_nodes + snd) * _SLOT_STRIDE + slot) * n_nodes + seq
+
+
+def _billed_widths(wire, n_nodes: int, L: int) -> Dict[int, int]:
+    """Billed bits per message kind, from the codec's field widths.
+
+    Every layout is fixed-width except SubtreeCount, whose entry is its
+    tag alone: the count's varint is added per value.
+    """
+    tag = TYPE_TAG_BITS
+    return {
+        _K_TREE_WAVE: tag + wire.distance_bits,
+        _K_TREE_JOIN: tag,
+        _K_COUNT: tag,
+        _K_ANNOUNCE: tag + uint_bits(n_nodes),
+        _K_TOKEN: tag + 1,
+        _K_WAVE: tag + wire.id_bits + wire.round_bits + wire.distance_bits
+        + 2 * L + 1,
+        _K_DONE: tag + wire.distance_bits,
+        _K_AGGSTART: tag + wire.distance_bits + 2 * wire.round_bits,
+        _K_AGGVALUE: tag + wire.id_bits + 2 * L + 1,
+    }
+
+
+def _inventory(plan: _Plan, sim, token_sends) -> Inventory:
+    """Build the factored inventory: O(N + S * N) events and rows.
+
+    Tree/census/token/report traffic is assembled in Python; the wave
+    broadcasts, the AggValue rows and the aggregation schedule are array
+    ops.
     """
     N = plan.N
-    wire = sim.wire
-    L = plan.L
-    tag = TYPE_TAG_BITS
-    from repro.wire.bits import uint_bits
-
-    tw_bits = tag + wire.distance_bits
-    tj_bits = tag
-    an_bits = tag + uint_bits(N)
-    tk_bits = tag + 1
-    bw_bits = tag + wire.id_bits + wire.round_bits + wire.distance_bits + (
-        2 * L + 1
-    )
-    dr_bits = tag + wire.distance_bits
-    as_bits = tag + wire.distance_bits + 2 * wire.round_bits
-    av_bits = tag + wire.id_bits + (2 * L + 1)
+    S = len(plan.src)
+    width = _billed_widths(sim.wire, N, plan.L)
 
     rows: List[Tuple[int, int, int, int, int, int, int, int]] = []
     depth = plan.depth
-    children = plan.children
     parent = plan.parent
     root = plan.root
     r_census = plan.r_census
     for v in range(N):
         dv = depth[v]
         if v != root:
-            rows.append((dv, v, parent[v], tj_bits, _SLOT_TREE_JOIN, 0,
-                         _K_TREE_JOIN, 0))
+            rows.append((dv, v, parent[v], width[_K_TREE_JOIN],
+                         _SLOT_TREE_JOIN, 0, _K_TREE_JOIN, 0))
             rows.append((plan.census_send[v], v, parent[v],
-                         tag + uint_bits(plan.subtree_size[v]), _SLOT_CENSUS,
-                         0, _K_COUNT, plan.subtree_size[v]))
-            rows.append((plan.done_send[v], v, parent[v], dr_bits,
+                         width[_K_COUNT] + uint_bits(plan.subtree_size[v]),
+                         _SLOT_CENSUS, 0, _K_COUNT, plan.subtree_size[v]))
+            rows.append((plan.done_send[v], v, parent[v], width[_K_DONE],
                          _SLOT_REPORT, 0, _K_DONE, plan.subtree_ecc[v]))
-        ch = children[v]
-        if ch:
-            if v == root:
-                ann_round, ann_slot = r_census, _SLOT_CENSUS
-                agg_round, agg_slot = plan.r_result, _SLOT_REPORT
-            else:
-                ann_round, ann_slot = r_census + dv, _SLOT_ANNOUNCE_FWD
-                agg_round, agg_slot = plan.r_result + dv, _SLOT_AGGSTART_FWD
-            for i, c in enumerate(ch):
-                rows.append((ann_round, v, c, an_bits, ann_slot, i,
-                             _K_ANNOUNCE, N))
-                rows.append((agg_round, v, c, as_bits, agg_slot, i,
-                             _K_AGGSTART, 0))
+        if v == root:
+            ann_round, ann_slot = r_census, _SLOT_CENSUS
+            agg_round, agg_slot = plan.r_result, _SLOT_REPORT
+        else:
+            ann_round, ann_slot = r_census + dv, _SLOT_ANNOUNCE_FWD
+            agg_round, agg_slot = plan.r_result + dv, _SLOT_AGGSTART_FWD
+        for i, c in enumerate(plan.children[v]):
+            rows.append((ann_round, v, c, width[_K_ANNOUNCE], ann_slot, i,
+                         _K_ANNOUNCE, N))
+            rows.append((agg_round, v, c, width[_K_AGGSTART], agg_slot, i,
+                         _K_AGGSTART, 0))
     for t, snd, tgt, returning, slot in token_sends:
-        rows.append((t, snd, tgt, tk_bits, slot, 0, _K_TOKEN, returning))
-
+        rows.append((t, snd, tgt, width[_K_TOKEN], slot, 0, _K_TOKEN,
+                     returning))
     py = np.array(rows, dtype=np.int64)
-    py_rank = (
-        (py[:, 0] * N + py[:, 1]) * _SLOT_STRIDE + py[:, 4]
-    ) * N + py[:, 5]
+    plan.py_rows = py
+    p_parts = [
+        [py[:, 0]], [py[:, 1]], [py[:, 2]], [py[:, 3]],
+        [_rank(py[:, 0], py[:, 1], py[:, 4], py[:, 5], N)],
+    ]
 
-    # Only the five columns the stats reduction consumes are built
-    # eagerly; slot/seq fold into the drain rank per block and the
-    # replay/audit metadata (kind, aux) is reconstructed on demand by
-    # _materialize_meta — the metadata columns would double the memory
-    # traffic of the fast path for nothing.
-    r_parts = [py[:, 0]]
-    snd_parts = [py[:, 1]]
-    tgt_parts = [py[:, 2]]
-    bits_parts = [py[:, 3]]
-    rank_parts = [py_rank]
+    # Broadcast events: each node's TreeWave at its settle round, then
+    # every settled pair's BfsWave (own launches use the later slot) —
+    # event i < N is node i's TreeWave, event N + p is pair p's wave.
+    nodes = np.arange(N, dtype=np.int64)
+    b_round = np.concatenate((
+        np.asarray(depth, dtype=np.int64),
+        np.repeat(plan.T, N) + plan.dist_flat,
+    ))
+    b_snd = np.tile(nodes, S + 1)
+    b_slot = np.concatenate((
+        np.full(N, _SLOT_TREE_WAVE, dtype=np.int64),
+        np.where(plan.dist_flat == 0, np.int64(_SLOT_WAVE_OWN),
+                 np.int64(_SLOT_WAVE_SETTLE)),
+    ))
+    b_bits = np.full(b_round.size, width[_K_WAVE], dtype=np.int64)
+    b_bits[:N] = width[_K_TREE_WAVE]
 
-    def _rank(r, snd, slot, seq):
-        out = r * N
-        out += snd
-        out *= _SLOT_STRIDE
-        out += slot
-        out *= N
-        out += seq
-        return out
-
-    # TreeWave broadcasts: every node, at its settle round, to every
-    # neighbor.
-    depth_arr = np.asarray(depth, dtype=np.int64)
-    seq_base = np.arange(indices.size, dtype=np.int64) - np.repeat(
-        indptr[:-1], deg
-    )
-    tw_snd = np.repeat(np.arange(N, dtype=np.int64), deg)
-    r_parts.append(np.repeat(depth_arr, deg))
-    snd_parts.append(tw_snd)
-    tgt_parts.append(indices)
-    bits_parts.append(np.full(indices.size, tw_bits, dtype=np.int64))
-    rank_parts.append(
-        _rank(r_parts[-1], tw_snd, np.int64(_SLOT_TREE_WAVE), seq_base)
-    )
-
-    # BfsWave broadcasts: every settled pair re-broadcasts once (own
-    # launches use the later slot).
-    S = len(plan.src)
-    bc_round = np.repeat(plan.T, N) + plan.dist_flat
-    slot_pair = np.where(
-        plan.dist_flat == 0, np.int64(_SLOT_WAVE_OWN), np.int64(_SLOT_WAVE_SETTLE)
-    )
-    deg_t = np.tile(deg, S)
-    bw_r = np.repeat(bc_round, deg_t)
-    bw_snd = np.tile(tw_snd, S)
-    r_parts.append(bw_r)
-    snd_parts.append(bw_snd)
-    tgt_parts.append(np.tile(indices, S))
-    bits_parts.append(np.full(bw_r.size, bw_bits, dtype=np.int64))
-    rank_parts.append(
-        _rank(bw_r, bw_snd, np.repeat(slot_pair, deg_t), np.tile(seq_base, S))
-    )
-
-    # AggValue sends: pair (s, v) to each predecessor, at
-    # base + T_s + D - d(s, v), in sorted-predecessor order.
-    if plan.aggregate and plan.pred_rows.size:
-        pair_rows, pred_rows = plan.pair_rows, plan.pred_rows
+    agg_snd = agg_round = agg_src = np.empty(0, dtype=np.int64)
+    if plan.aggregate:
+        # Pair (s, v) sends at base + T_s + D - d(s, v) to each
+        # predecessor, in sorted-predecessor order.
         send_round = (
-            plan.base
-            + np.repeat(plan.T, N)
-            + plan.diameter
-            - plan.dist_flat
+            plan.base + plan.diameter + np.repeat(plan.T, N) - plan.dist_flat
         )
-        counts = np.diff(plan.pred_indptr)
+        pair_rows, pred_rows = plan.pair_rows, plan.pred_rows
         seq = np.arange(pred_rows.size, dtype=np.int64) - np.repeat(
-            plan.pred_indptr[:-1], counts
+            plan.pred_indptr[:-1], np.diff(plan.pred_indptr)
         )
         av_r = send_round[pair_rows]
         av_snd = pair_rows % N
-        r_parts.append(av_r)
-        snd_parts.append(av_snd)
-        tgt_parts.append(pred_rows)
-        bits_parts.append(np.full(av_r.size, av_bits, dtype=np.int64))
-        rank_parts.append(
-            _rank(av_r, av_snd, np.int64(_SLOT_AGGVALUE), seq)
-        )
+        for part, col in zip(p_parts, (
+            av_r, av_snd, pred_rows,
+            np.full(av_r.size, width[_K_AGGVALUE], dtype=np.int64),
+            _rank(av_r, av_snd, _SLOT_AGGVALUE, seq, N),
+        )):
+            part.append(col)
+        # The schedule, sender-major: a source never sends for itself,
+        # so its own pair parks at the int64 max, sorts last and drops.
+        by_node = send_round.reshape(S, N).T.copy()
+        by_node[plan.src, np.arange(S)] = np.iinfo(np.int64).max
+        order = np.argsort(by_node, axis=1)
+        by_node = np.take_along_axis(by_node, order, axis=1)
+        real = by_node != np.iinfo(np.int64).max
+        agg_round = by_node[real]
+        agg_src = plan.src[order[real]]
+        agg_snd = np.repeat(nodes, real.sum(axis=1))
 
-    plan.r_col = np.concatenate(r_parts)
-    plan.snd_col = np.concatenate(snd_parts)
-    plan.tgt_col = np.concatenate(tgt_parts)
-    plan.bits_col = np.concatenate(bits_parts)
-    plan.rank = np.concatenate(rank_parts)
-    plan.block_sizes = tuple(part.size for part in r_parts)
-    plan.py_rows = py
-    plan.deg = deg
-    plan.kind_col = None
-    plan.aux_col = None
+    return Inventory(
+        N, plan.rounds, plan.indptr, plan.indices,
+        b_round, b_snd, b_slot, b_bits,
+        *(np.concatenate(part) for part in p_parts),
+        agg_snd, agg_round, agg_src,
+    )
 
 
-def _materialize_meta(plan: _Plan) -> None:
-    """Build the (kind, aux) metadata columns for replay / frame audits.
+def _b_refs(plan: _Plan, ev):
+    """(kind, aux) message handles of broadcast events ``ev``."""
+    tree = ev < plan.N
+    kind = np.where(tree, _K_TREE_WAVE, _K_WAVE)
+    aux = np.where(tree, plan.inv.b_round[ev], ev - plan.N)
+    return kind, aux
 
-    Deferred from :func:`_send_inventory`: the fast path never touches
-    them.  Block order mirrors the inventory concatenation exactly —
-    Python rows, TreeWave, BfsWave, then AggValue.
-    """
-    if plan.kind_col is not None:
-        return
-    sizes = plan.block_sizes
+
+def _p_refs(plan: _Plan, rows):
+    """(kind, aux) message handles of point-to-point rows ``rows``."""
     py = plan.py_rows
-    deg = plan.deg
+    n_py = py.shape[0]
+    in_py = rows < n_py
+    at_py = np.minimum(rows, n_py - 1)
+    kind = np.where(in_py, py[at_py, 6], _K_AGGVALUE)
+    aux = np.where(
+        in_py, py[at_py, 7], plan.pair_rows[np.maximum(rows - n_py, 0)]
+    )
+    return kind, aux
+
+
+def _expand(plan: _Plan):
+    """Per-send ``(round, sender, target, kind, aux)`` lists, drain order.
+
+    The only per-send builder: replay alone needs the sends one by one.
+    """
+    inv = plan.inv
     N = plan.N
-    S = len(plan.src)
-    depth_arr = np.asarray(plan.depth, dtype=np.int64)
-    kind_parts = [py[:, 6]]
-    aux_parts = [py[:, 7]]
-    kind_parts.append(np.full(sizes[1], _K_TREE_WAVE, dtype=np.int64))
-    aux_parts.append(np.repeat(depth_arr, deg))
-    kind_parts.append(np.full(sizes[2], _K_WAVE, dtype=np.int64))
-    aux_parts.append(np.repeat(np.arange(S * N, dtype=np.int64), np.tile(deg, S)))
-    if len(sizes) > 3:
-        kind_parts.append(np.full(sizes[3], _K_AGGVALUE, dtype=np.int64))
-        aux_parts.append(plan.pair_rows)
-    plan.kind_col = np.concatenate(kind_parts)
-    plan.aux_col = np.concatenate(aux_parts)
+    fan = plan.deg[inv.b_snd]
+    ev = np.repeat(np.arange(fan.size, dtype=np.int64), fan)
+    seq = np.arange(ev.size, dtype=np.int64) - np.repeat(
+        np.cumsum(fan) - fan, fan
+    )
+    b_r = inv.b_round[ev]
+    b_snd = inv.b_snd[ev]
+    b_kind, b_aux = _b_refs(plan, ev)
+    p_kind, p_aux = _p_refs(
+        plan, np.arange(inv.p_round.size, dtype=np.int64)
+    )
+    rank = np.concatenate(
+        (_rank(b_r, b_snd, inv.b_slot[ev], seq, N), inv.p_rank)
+    )
+    order = np.argsort(rank)
+    return [
+        np.concatenate(cols)[order].tolist()
+        for cols in (
+            (b_r, inv.p_round),
+            (b_snd, inv.p_snd),
+            (inv.indices[inv.indptr[b_snd] + seq], inv.p_tgt),
+            (b_kind, p_kind),
+            (b_aux, p_aux),
+        )
+    ]
+
 
 # ---------------------------------------------------------------------------
 # stats assembly (the fast path)
 # ---------------------------------------------------------------------------
-def _group_sends(n_nodes, r, snd, tgt, bits, rank):
-    """Sort sends into (round, edge) groups, rank-ordered within a group.
+class _Reduction(NamedTuple):
+    """The groupings :func:`populate_stats` builds, kept for the audit.
 
-    Returns ``(order, first, counts, group_keys, group_bits)``: the
-    permutation, the per-group start offsets into it, group sizes, the
-    packed ``(round * N + sender) * N + target`` group keys, and each
-    group's total bits.  Computed once and shared by the stats
-    reduction, the strict-mode violation scan and the sampling audit —
-    the sort is the fast path's dominant cost.
+    ``b_*``: one broadcast group per (round, sender) node-round, keyed
+    ``round * N + sender``.  ``p_*``: one point-to-point group per
+    (round, sender, target) edge-round, keyed ``key_b * N + target``;
+    ``mixed`` marks those whose sender also broadcast that round, ``at``
+    is the matching broadcast group.  Order/first/count locate a group's
+    members in the inventory.
     """
-    key = (r * n_nodes + snd) * n_nodes + tgt
-    order = np.lexsort((rank, key))
+
+    b_order: np.ndarray
+    b_first: np.ndarray
+    b_cnt: np.ndarray
+    b_keys: np.ndarray
+    b_load: np.ndarray
+    p_order: np.ndarray
+    p_first: np.ndarray
+    p_cnt: np.ndarray
+    p_keys: np.ndarray
+    p_load: np.ndarray
+    mixed: np.ndarray
+    at: np.ndarray
+
+
+def _group(key):
+    """Sort ``key`` into runs: ``(order, first, counts, unique keys)``."""
+    order = np.argsort(key)
     ks = key[order]
-    first = np.concatenate(
-        ([0], np.flatnonzero(ks[1:] != ks[:-1]) + 1)
-    )
-    counts = np.diff(np.concatenate((first, [ks.size])))
-    group_bits = np.add.reduceat(bits[order], first)
-    return order, first, counts, ks[first], group_bits
+    first = np.flatnonzero(np.diff(ks, prepend=ks[:1] - 1))
+    return order, first, np.diff(first, append=ks.size), ks[first]
 
 
-def populate_stats(stats, rounds, n_nodes, r, snd, tgt, bits, rank,
-                   grouping=None):
-    """Reduce a send inventory into ``stats`` with array ops.
+def _lookup(keys, want):
+    """Positions of ``want`` in sorted ``keys``, and which are present."""
+    at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    return at, keys[at] == want
 
-    Work is O(sends log sends) — per-round cost scales with the *active*
-    edges of that round, never with N (the bench suite gates this with a
-    scaling microbenchmark).  Reproduces ``observe_round`` exactly:
+
+def _nbr_seq(inv: Inventory, u, w):
+    """Index of neighbour ``w`` in ``u``'s CSR row (vectorized)."""
+    n = inv.n_nodes
+    csr_key = np.repeat(np.arange(n, dtype=np.int64), np.diff(inv.indptr))
+    csr_key = csr_key * n + inv.indices
+    return np.searchsorted(csr_key, u * n + w) - inv.indptr[u]
+
+
+def _check_lemma4(inv: Inventory) -> None:
+    """Raise when two aggregation sends share a (round, sender) key."""
+    if inv.agg_round.size < 2:
+        return
+    key = inv.agg_snd * (int(inv.agg_round.max()) + 1) + inv.agg_round
+    if (np.diff(key) > 0).all():  # sorted and distinct, as built
+        return
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    dup = np.flatnonzero(ks[1:] == ks[:-1])
+    if dup.size:
+        i, j = order[dup[0]], order[dup[0] + 1]
+        raise ProtocolError(
+            "node {}: sources {} and {} share send round {} — "
+            "Lemma 4 violated".format(
+                int(inv.agg_snd[i]), int(inv.agg_src[i]),
+                int(inv.agg_src[j]), int(inv.agg_round[i]),
+            )
+        )
+
+
+def populate_stats(stats, inv: Inventory, budget: Optional[int] = None):
+    """Reduce a factored inventory into ``stats`` with array ops.
+
+    An edge-round's load is its sender's broadcast load in that round
+    plus any point-to-point load on that edge.  Broadcast events group
+    by (round, sender) and point-to-point rows by (round, sender,
+    target), both by sorting, so the cost is O(events log events): it
+    never touches a rounds x N table nor one entry per wave send (the
+    bench suite gates the N-independence).  Reproduces
+    ``observe_round`` exactly:
 
     * ``worst_edge`` is the first edge-round group, scanning rounds in
       order and groups in first-send order within a round, to reach the
-      global per-edge bit maximum — i.e. the minimum first-send drain
-      rank among the groups achieving the maximum;
-    * the cut tracker (if armed) sees per-round crossing totals keyed in
-      ascending round order, exactly as the scan inserts them.
+      global per-edge bit maximum — the minimum first-send drain rank
+      among the groups at the maximum;
+    * the cut tracker (if armed) counts crossing edge-round groups and
+      their loads, per-round totals keyed in ascending round order.
 
-    Returns the per-group arrays ``(order, first, counts, group_bits,
-    round, sender, target)`` of the (round, sender, target) grouping for
-    reuse by the sampling audit.
+    Raises :class:`ProtocolError` when the aggregation schedule sends
+    twice from one node in one round (Lemma 4).  Returns ``None``,
+    leaving ``stats`` untouched, when an edge-round carries more than
+    ``budget`` bits — the caller replays to raise at the exact send —
+    else the :class:`_Reduction` for the sampling audit.  Both parts of
+    the inventory must be non-empty, as in every protocol run.
     """
-    if grouping is None:
-        grouping = _group_sends(n_nodes, r, snd, tgt, bits, rank)
-    order, first, counts, uniq, group_bits = grouping
-    g_round = uniq // (n_nodes * n_nodes)
-    g_snd = (uniq // n_nodes) % n_nodes
-    g_tgt = uniq % n_nodes
+    _check_lemma4(inv)
+    N = inv.n_nodes
+    rounds = inv.rounds
+    deg = np.diff(inv.indptr)
+    b_order, b_first, b_cnt, b_keys = _group(inv.b_round * N + inv.b_snd)
+    b_load = np.add.reduceat(inv.b_bits[b_order], b_first)
+    b_fan = deg[b_keys % N]
+    p_order, p_first, p_cnt, p_keys = _group(
+        (inv.p_round * N + inv.p_snd) * N + inv.p_tgt
+    )
+    p_load = np.add.reduceat(inv.p_bits[p_order], p_first)
+    p_node_round = p_keys // N
+    at, mixed = _lookup(b_keys, p_node_round)
+    e_load = p_load + np.where(mixed, b_load[at], 0)
+    max_bits = max(int(b_load.max()), int(e_load.max()))
+    if budget is not None and max_bits > budget:
+        return None
 
-    stats.message_count += int(r.size)
-    stats.bit_count += int(bits.sum())
-    msgs_pr = np.bincount(r, minlength=rounds)
-    bits_pr = np.bincount(r, weights=bits, minlength=rounds).astype(np.int64)
-    stats.round_series.extend(
-        zip(msgs_pr.tolist(), bits_pr.tolist())
-    )
-    max_bits = int(group_bits.max())
+    # worst_edge.  A broadcast group at the maximum has no point-to-point
+    # load on any edge (it would push that edge past the maximum), so its
+    # first send, to neighbour 0, opens a broadcast-only group.
+    b_slot = np.minimum.reduceat(inv.b_slot[b_order], b_first)
+    b_at = np.flatnonzero(b_load == max_bits)
+    e_at = np.flatnonzero(e_load == max_bits)
+    e_rank = np.minimum.reduceat(inv.p_rank[p_order], p_first)[e_at]
+    m_at = mixed[e_at]
+    if m_at.any():
+        g = at[e_at[m_at]]
+        u = b_keys[g] % N
+        e_rank[m_at] = np.minimum(e_rank[m_at], _rank(
+            b_keys[g] // N, u, b_slot[g],
+            _nbr_seq(inv, u, p_keys[e_at[m_at]] % N), N,
+        ))
+    b_rank = _rank(b_keys[b_at] // N, b_keys[b_at] % N, b_slot[b_at], 0, N)
+    if b_rank.size and (not e_rank.size or b_rank.min() < e_rank.min()):
+        key = int(b_keys[b_at[np.argmin(b_rank)]])
+        u = key % N
+        worst = (key // N, u, int(inv.indices[inv.indptr[u]]))
+    else:
+        key = int(p_keys[e_at[np.argmin(e_rank)]])
+        worst = (key // (N * N), (key // N) % N, key % N)
+
+    b_round = b_keys // N
+    b_msgs = b_cnt * b_fan
+    b_bits = b_load * b_fan
+    msgs_pr = np.bincount(b_round, weights=b_msgs, minlength=rounds)
+    msgs_pr += np.bincount(inv.p_round, minlength=rounds)
+    bits_pr = np.bincount(b_round, weights=b_bits, minlength=rounds)
+    bits_pr += np.bincount(inv.p_round, weights=inv.p_bits, minlength=rounds)
+    stats.message_count += int(b_msgs.sum()) + int(inv.p_round.size)
+    stats.bit_count += int(b_bits.sum()) + int(inv.p_bits.sum())
+    stats.round_series.extend(zip(
+        msgs_pr.astype(np.int64).tolist(), bits_pr.astype(np.int64).tolist()
+    ))
     stats.max_edge_bits_per_round = max_bits
-    stats.max_edge_messages_per_round = int(counts.max())
-    at_max = group_bits == max_bits
-    first_rank = rank[order][first]
-    winner = np.flatnonzero(at_max)[np.argmin(first_rank[at_max])]
-    stats.worst_edge = (
-        int(g_round[winner]), int(g_snd[winner]), int(g_tgt[winner])
+    stats.max_edge_messages_per_round = max(
+        int(b_cnt.max()),
+        int((p_cnt + np.where(mixed, b_cnt[at], 0)).max()),
     )
+    stats.worst_edge = worst
     cut = stats.cut
     if cut is not None:
         # CutTracker.observe runs once per (round, edge) accounting
         # group, so ``messages`` counts crossing *groups* (matching the
-        # batched sweep semantics), while ``bits`` sums their loads.
-        left = np.zeros(n_nodes, dtype=bool)
+        # batched sweep semantics), while ``bits`` sums their loads.  A
+        # broadcast group crosses on each of its sender's cut edges.
+        left = np.zeros(N, dtype=bool)
         left[list(cut.left)] = True
-        crossing = left[g_snd] != left[g_tgt]
-        cut.messages += int(crossing.sum())
-        cbits = group_bits[crossing]
-        cut.bits += int(cbits.sum())
-        per_round = np.bincount(
-            g_round[crossing], weights=cbits, minlength=rounds
+        owner = np.repeat(np.arange(N, dtype=np.int64), deg)
+        cut_deg = np.bincount(
+            owner[left[owner] != left[inv.indices]], minlength=N
+        )
+        b_cross = cut_deg[b_keys % N]
+        p_cross = left[p_node_round % N] != left[p_keys % N]
+        b_cbits = b_load * b_cross
+        cut.messages += int(b_cross.sum()) + int((p_cross & ~mixed).sum())
+        cut.bits += int(b_cbits.sum()) + int(p_load[p_cross].sum())
+        per_round = np.bincount(b_round, weights=b_cbits, minlength=rounds)
+        per_round += np.bincount(
+            p_keys[p_cross] // (N * N), weights=p_load[p_cross],
+            minlength=rounds,
         )
         for rr in np.flatnonzero(per_round):
             cut.bits_per_round[int(rr)] = (
                 cut.bits_per_round.get(int(rr), 0) + int(per_round[rr])
             )
-    return order, first, counts, group_bits, g_round, g_snd, g_tgt
-
-
-def _first_violation(plan: _Plan, grouping, budget: int):
-    """The earliest strict-mode violation in drain order, if any.
-
-    Mirrors the sweep engine: per directed edge per round, the running
-    bit total is checked after each send; the violating send is the one
-    with the minimum drain rank whose cumulative edge-round total
-    exceeds the budget.  Returns (round, sender, target, bits_used) or
-    None.
-    """
-    order, first, _counts, _keys, group_bits = grouping
-    if int(group_bits.max()) <= budget:
-        # Bits are positive, so every running prefix is bounded by its
-        # group total — no group over budget means no violating send.
-        return None
-    bs = plan.bits_col[order]
-    cum = np.cumsum(bs)
-    base = np.zeros(bs.size, dtype=np.int64)
-    base[first[1:]] = cum[first[1:] - 1]
-    cum = cum - np.maximum.accumulate(base)
-    bad = np.flatnonzero(cum > budget)
-    if bad.size == 0:
-        return None
-    ranks = plan.rank[order][bad]
-    pick = bad[np.argmin(ranks)]
-    row = order[pick]
-    return (
-        int(plan.r_col[row]),
-        int(plan.snd_col[row]),
-        int(plan.tgt_col[row]),
-        int(cum[pick]),
+    return _Reduction(
+        b_order, b_first, b_cnt, b_keys, b_load,
+        p_order, p_first, p_cnt, p_keys, p_load, mixed, at,
     )
 
 
@@ -796,44 +912,117 @@ class _Materializer:
         return self._agg_start  # _K_AGGSTART
 
 
-def _sampling_audit(sim, plan: _Plan, grouping) -> None:
+def _spread(pool: np.ndarray, k: int) -> np.ndarray:
+    """``k`` entries of ``pool`` at an even stride (all when it is small)."""
+    if pool.size <= k:
+        return pool
+    return pool[np.linspace(0, pool.size - 1, k).astype(np.int64)]
+
+
+def _audit_edges(
+    plan: _Plan, red: _Reduction, worst
+) -> List[Tuple[int, int, int]]:
+    """The (round, sender, target) edge-rounds the sampling audit encodes.
+
+    ``_AUDIT_SAMPLES`` groups spread over the three group classes —
+    broadcast-only, mixed and point-to-point-only, a class short of its
+    share leaving the rest to the others — plus, for every message kind,
+    the edge carrying its first send, plus the worst edge.
+    """
+    inv = plan.inv
+    N = plan.N
+    mixed_pool = np.flatnonzero(red.mixed)
+    p_pool = np.flatnonzero(~red.mixed)
+    covered = np.bincount(red.at[red.mixed], minlength=red.b_keys.size)
+    b_pool = np.flatnonzero(covered < plan.deg[red.b_keys % N])
+    pools = [b_pool, mixed_pool, p_pool]
+    share = [0, 0, 0]
+    left = _AUDIT_SAMPLES
+    for n_left, c in enumerate(sorted(range(3), key=lambda c: pools[c].size)):
+        share[c] = min(pools[c].size, left // (3 - n_left))
+        left -= share[c]
+    edges: List[Tuple[int, int, int]] = []
+    p_keys = red.p_keys
+    for g in _spread(b_pool, share[0]).tolist():
+        # The first neighbour this node-round sends nothing else to.
+        key = int(red.b_keys[g])
+        u = key % N
+        nbrs = inv.indices[inv.indptr[u]: inv.indptr[u + 1]]
+        _at, taken = _lookup(p_keys, key * N + nbrs)
+        edges.append((key // N, u, int(nbrs[np.argmin(taken)])))
+    for h in np.concatenate(
+        (_spread(mixed_pool, share[1]), _spread(p_pool, share[2]))
+    ).tolist():
+        key = int(p_keys[h])
+        edges.append((key // (N * N), (key // N) % N, key % N))
+    for ev in (0, N):  # each node's TreeWave, then the pairs' BfsWaves
+        if ev < inv.b_round.size:
+            u = int(inv.b_snd[ev])
+            edges.append(
+                (int(inv.b_round[ev]), u, int(inv.indices[inv.indptr[u]]))
+            )
+    _kinds, first_rows = np.unique(plan.py_rows[:, 6], return_index=True)
+    rows = first_rows.tolist()
+    if inv.p_round.size > plan.py_rows.shape[0]:
+        rows.append(plan.py_rows.shape[0])  # the first AggValue
+    for i in rows:
+        edges.append(
+            (int(inv.p_round[i]), int(inv.p_snd[i]), int(inv.p_tgt[i]))
+        )
+    edges.append(worst)
+    return list(dict.fromkeys(edges))
+
+
+def _sampling_audit(sim, plan: _Plan, red: _Reduction) -> None:
     """Spot-check billed totals against the exact codec.
 
-    A deterministic sample of edge-round groups (the worst edge plus an
-    even stride across all groups) is re-encoded through
-    :func:`encode_frame`; any disagreement with the vectorized billing
-    raises the same :class:`WireCodecError` as the sweep engine's frame
-    audit.
+    Each sampled edge-round (see :func:`_audit_edges`) is rebuilt from
+    the factored inventory — its sender's broadcasts that round plus its
+    point-to-point rows, merged in drain order — and re-encoded through
+    :func:`encode_frame`; any disagreement with the load the reduction
+    billed raises the same :class:`WireCodecError` as the sweep engine's
+    frame audit.
     """
-    order, first, counts, group_bits, g_round, g_snd, g_tgt = grouping
-    n_groups = first.size
-    if n_groups <= _AUDIT_SAMPLES:
-        sample = np.arange(n_groups)
-    else:
-        sample = np.unique(
-            np.concatenate((
-                np.linspace(0, n_groups - 1, _AUDIT_SAMPLES).astype(np.int64),
-                [int(np.argmax(group_bits))],
-            ))
-        )
+    inv = plan.inv
+    N = plan.N
     mat = _Materializer(plan)
     wire = sim.wire
-    _materialize_meta(plan)
-    kind = plan.kind_col
-    aux = plan.aux_col
-    rank = plan.rank
-    for g in sample:
-        rows = order[first[g]: first[g] + counts[g]]
-        rows = rows[np.argsort(rank[rows])]
-        messages = [mat.message(int(kind[i]), int(aux[i])) for i in rows]
+    for r, u, w in _audit_edges(plan, red, sim.stats.worst_edge):
+        ranks: List[np.ndarray] = []
+        kinds: List[np.ndarray] = []
+        auxs: List[np.ndarray] = []
+        billed = 0
+        key = r * N + u
+        g, found = _lookup(red.b_keys, key)
+        if found:
+            ev = red.b_order[red.b_first[g]: red.b_first[g] + red.b_cnt[g]]
+            seq = int(_nbr_seq(inv, u, w))
+            ranks.append(_rank(r, u, inv.b_slot[ev], seq, N))
+            kind, aux = _b_refs(plan, ev)
+            kinds.append(kind)
+            auxs.append(aux)
+            billed += int(red.b_load[g])
+        h, found = _lookup(red.p_keys, key * N + w)
+        if found:
+            rows = red.p_order[red.p_first[h]: red.p_first[h] + red.p_cnt[h]]
+            ranks.append(inv.p_rank[rows])
+            kind, aux = _p_refs(plan, rows)
+            kinds.append(kind)
+            auxs.append(aux)
+            billed += int(red.p_load[h])
+        order = np.argsort(np.concatenate(ranks))
+        messages = [
+            mat.message(k, a)
+            for k, a in zip(
+                np.concatenate(kinds)[order].tolist(),
+                np.concatenate(auxs)[order].tolist(),
+            )
+        ]
         _word, frame_bits = encode_frame(messages, wire)
-        if frame_bits != int(group_bits[g]):
+        if frame_bits != billed:
             raise WireCodecError(
                 "round {}: edge {}->{} charged {} bits but its "
-                "encoded frame is {} bits".format(
-                    int(g_round[g]), int(g_snd[g]), int(g_tgt[g]),
-                    int(group_bits[g]), frame_bits,
-                )
+                "encoded frame is {} bits".format(r, u, w, billed, frame_bits)
             )
 
 
@@ -841,7 +1030,7 @@ def _sampling_audit(sim, plan: _Plan, grouping) -> None:
 # replay (exact per-send observability)
 # ---------------------------------------------------------------------------
 def _replay(sim, plan: _Plan) -> None:
-    """Drive the precomputed send inventory through sweep-exact billing.
+    """Drive the expanded send inventory through sweep-exact billing.
 
     Used whenever a run needs per-send hooks (tracer, telemetry send or
     round monitors, the full frame audit) or ends exceptionally; follows
@@ -861,13 +1050,7 @@ def _replay(sim, plan: _Plan) -> None:
     budget = sim.bit_budget if sim.strict else None
     audit = sim.frame_audit
     max_rounds = sim.max_rounds
-    _materialize_meta(plan)
-    order = np.argsort(plan.rank)
-    r_l = plan.r_col[order].tolist()
-    snd_l = plan.snd_col[order].tolist()
-    tgt_l = plan.tgt_col[order].tolist()
-    kind_l = plan.kind_col[order].tolist()
-    aux_l = plan.aux_col[order].tolist()
+    r_l, snd_l, tgt_l, kind_l, aux_l = _expand(plan)
     mat = _Materializer(plan)
     message_of = mat.message
     total_sends = len(r_l)
@@ -976,20 +1159,10 @@ def _populate_nodes(sim, plan: _Plan) -> None:
     root = plan.root
     aggregate = plan.aggregate
     horizon = plan.horizon
-    # Per-node sorted aggregation send rounds (ascending), vectorized:
-    # own pairs park at int64 max so a column sort pushes them last.
-    send_rounds_sorted = None
-    if aggregate:
-        send_round = (
-            plan.base
-            + np.repeat(plan.T, N)
-            + plan.diameter
-            - plan.dist_flat
-        ).reshape(len(plan.src), N)
-        own_rows = np.arange(len(plan.src))
-        send_round = send_round.copy()
-        send_round[own_rows, plan.src] = np.iinfo(np.int64).max
-        send_rounds_sorted = np.sort(send_round, axis=0)
+    # Each node's ascending aggregation send rounds: its slice of the
+    # inventory's sender-major schedule.
+    send_rounds = plan.inv.agg_round.tolist()
+    send_ptr = np.searchsorted(plan.inv.agg_snd, np.arange(N + 1)).tolist()
     s_idx_of = plan.s_idx_of
     for v in range(N):
         node = sim.nodes[v]
@@ -1028,13 +1201,9 @@ def _populate_nodes(sim, plan: _Plan) -> None:
         agg._horizon = horizon
         agg._schedule = {}
         if aggregate:
-            # A source column carries its own pair parked at the int64
-            # sentinel (sorted last); every other column is all real.
-            n_real = len(plan.src) - (1 if s_i >= 0 else 0)
-            agg._send_rounds = [
-                int(x) for x in send_rounds_sorted[:n_real, v]
-            ]
-            agg._send_cursor = n_real  # every scheduled send fired
+            lo, hi = send_ptr[v], send_ptr[v + 1]
+            agg._send_rounds = send_rounds[lo:hi]
+            agg._send_cursor = hi - lo  # every scheduled send fired
             agg.betweenness_raw = _lf(
                 plan.bet_m[v], plan.bet_e[v], L, Rounding.FLOOR
             )
@@ -1089,6 +1258,7 @@ def _compute(sim) -> _Plan:
         v for v in range(N) if sim.nodes[v].tree.is_root
     )
     indptr, indices, deg = _csr(graph)
+    plan.indptr, plan.indices, plan.deg = indptr, indices, deg
     depth, parent, children = tree_schedule(graph, plan.root)
     plan.depth = depth
     plan.parent = parent
@@ -1183,7 +1353,7 @@ def _compute(sim) -> _Plan:
         plan.val_m = plan.val_e = None
         plan.bet_m = plan.bet_e = None
 
-    _send_inventory(plan, sim, indptr, indices, deg, token_sends)
+    plan.inv = _inventory(plan, sim, token_sends)
     return plan
 
 
@@ -1199,18 +1369,10 @@ def run_bulk(sim):
     profiler = telemetry.profiler if telemetry is not None else None
     started = perf_counter()
     plan = _compute(sim)
-    grouping = None
-    plan.violation = None
-    if sim.strict:
-        grouping = _group_sends(
-            plan.N, plan.r_col, plan.snd_col, plan.tgt_col,
-            plan.bits_col, plan.rank,
-        )
-        plan.violation = _first_violation(plan, grouping, sim.bit_budget)
     if profiler is not None:
         profiler.add("engine.bulk.plan", perf_counter() - started)
-        profiler.bump("engine.bulk.sends", int(plan.r_col.size))
-    needs_replay = (
+        profiler.bump("engine.bulk.sends", plan.inv.message_count)
+    observed = (
         sim.tracer is not None
         or sim.frame_audit
         or (
@@ -1220,21 +1382,20 @@ def run_bulk(sim):
                 or getattr(telemetry, "wants_rounds", True)
             )
         )
-        or plan.violation is not None
-        or plan.rounds > sim.max_rounds
     )
     started = perf_counter()
-    if needs_replay:
+    reduction = None
+    if not observed and plan.rounds <= sim.max_rounds:
+        # None when an edge-round is over the strict budget.
+        reduction = populate_stats(
+            sim.stats, plan.inv, sim.bit_budget if sim.strict else None
+        )
+    if reduction is None:
         _replay(sim, plan)  # raises on violation / round-limit overrun
         if profiler is not None:
             profiler.add("engine.bulk.replay", perf_counter() - started)
     else:
-        grouping = populate_stats(
-            sim.stats, plan.rounds, plan.N,
-            plan.r_col, plan.snd_col, plan.tgt_col, plan.bits_col, plan.rank,
-            grouping=grouping,
-        )
-        _sampling_audit(sim, plan, grouping)
+        _sampling_audit(sim, plan, reduction)
         if profiler is not None:
             profiler.add("engine.bulk.stats", perf_counter() - started)
     _emit_phase_marks(sim, plan)

@@ -28,10 +28,13 @@ from repro.exceptions import EngineCapabilityError
 from repro.graphs import (
     Graph,
     balanced_tree,
+    barabasi_albert_graph,
     connected_erdos_renyi_graph,
     cycle_graph,
     figure1_graph,
+    grid_graph,
     path_graph,
+    watts_strogatz_graph,
 )
 
 
@@ -277,3 +280,252 @@ def test_cli_engine_choices_include_auto():
 
     with pytest.raises(SystemExit):
         main(["bc", "--graph", "figure1", "--engine", "warp"])
+
+
+# ----------------------------------------------------------------------
+# the factored reduction: wider differential zoo
+# ----------------------------------------------------------------------
+ZOO_GRAPHS = [
+    barabasi_albert_graph(64, 3, seed=5),
+    grid_graph(7, 8),
+    watts_strogatz_graph(72, 4, 0.2, seed=3),
+]
+
+
+@pytest.mark.parametrize("graph", ZOO_GRAPHS, ids=lambda g: g.name)
+@pytest.mark.parametrize(
+    "variant", ["cut", "subset-sources", "no-aggregate", "strict"]
+)
+def test_bulk_matches_event_on_tie_heavy_families(graph, variant):
+    """Broadcast-heavy families with many worst-edge ties: every stats
+    field, the per-round series and the cut's per-round map agree."""
+    n = graph.num_nodes
+    kwargs = {
+        "cut": {"cut": set(range(0, n, 3)), "strict": False},
+        "subset-sources": {
+            "config": ProtocolConfig(sources=frozenset(range(1, n, 4))),
+            "strict": False,
+        },
+        "no-aggregate": {
+            "config": ProtocolConfig(aggregate=False), "strict": False,
+        },
+        "strict": {"strict": True},
+    }[variant]
+    runs = {
+        engine: distributed_betweenness(
+            graph, arithmetic="lfloat", engine=engine, **kwargs
+        )
+        for engine in ("event", "bulk")
+    }
+    assert runs["bulk"].stats.engine == "bulk"
+    assert _fp(runs["event"]) == _fp(runs["bulk"])
+    if variant == "cut":
+        assert (
+            runs["event"].stats.cut.bits_per_round
+            == runs["bulk"].stats.cut.bits_per_round
+        )
+
+
+def _brute_force_stats(inv, cut=None):
+    """Expand an inventory send by send and bill it like the sweep."""
+    from repro.congest.stats import CutTracker, SimulationStats
+
+    n = inv.n_nodes
+    sends = []
+    for r, u, slot, bits in zip(
+        inv.b_round.tolist(), inv.b_snd.tolist(),
+        inv.b_slot.tolist(), inv.b_bits.tolist(),
+    ):
+        for j, w in enumerate(inv.indices[inv.indptr[u]:inv.indptr[u + 1]]):
+            sends.append(((((r * n + u) * 16 + slot) * n + j), r, u, int(w), bits))
+    for row in zip(
+        inv.p_rank.tolist(), inv.p_round.tolist(), inv.p_snd.tolist(),
+        inv.p_tgt.tolist(), inv.p_bits.tolist(),
+    ):
+        sends.append(row)
+    sends.sort()
+    stats = SimulationStats()
+    if cut is not None:
+        stats.cut = CutTracker(cut)
+    i = 0
+    for r in range(inv.rounds):
+        stats.start_round()
+        load = {}
+        while i < len(sends) and sends[i][1] == r:
+            _rank, _r, u, w, bits = sends[i]
+            entry = load.setdefault((u, w), [0, 0])
+            entry[0] += 1
+            entry[1] += bits
+            i += 1
+        if load:
+            stats.observe_round(r, load)
+    return stats
+
+
+def _random_inventory(rng, widths, n=10, rounds=6, events=70, rows=50):
+    """A random factored inventory with colliding broadcasts and rows."""
+    from repro.engines.bulk import Inventory
+
+    graph = connected_erdos_renyi_graph(n, 0.3, seed=rng.randrange(1000))
+    nbrs = [sorted(graph.neighbors(v)) for v in range(n)]
+    indptr = np.cumsum([0] + [len(x) for x in nbrs])
+    indices = np.array([w for x in nbrs for w in x], dtype=np.int64)
+    b_keys = rng.sample(
+        [(r, u, s) for r in range(rounds) for u in range(n) for s in (0, 4, 6)],
+        events,
+    )
+    seqs = {}
+    p_rows = []
+    for _ in range(rows):
+        r, u = rng.randrange(rounds), rng.randrange(n)
+        slot = rng.choice((1, 2, 3, 5, 7, 8, 9, 10))
+        seq = seqs[r, u, slot] = seqs.get((r, u, slot), -1) + 1
+        w = rng.choice(nbrs[u])
+        p_rows.append((r, u, w, rng.choice(widths),
+                       ((r * n + u) * 16 + slot) * n + seq))
+    b = np.array([(r, u, s, rng.choice(widths)) for r, u, s in b_keys])
+    p = np.array(p_rows, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    return Inventory(
+        n, rounds, indptr, indices, b[:, 0], b[:, 1], b[:, 2], b[:, 3],
+        p[:, 0], p[:, 1], p[:, 2], p[:, 3], p[:, 4], empty, empty, empty,
+    )
+
+
+# Shapes that put ties at the maximum in each group class: one bit
+# width on dense and sparse inventories, two widths on a sparse one.
+RANDOM_SHAPES = {
+    "dense-16": ((16,), dict(n=10, rounds=6, events=70, rows=50)),
+    "sparse-16": ((16,), dict(n=12, rounds=8, events=50, rows=40)),
+    "sparse-8-16": ((8, 16), dict(n=10, rounds=6, events=40, rows=30)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RANDOM_SHAPES))
+def test_populate_stats_matches_per_send_billing(shape):
+    """The factored reduction against send-by-send ``observe_round`` on
+    random inventories: mixed, broadcast-only and point-to-point-only
+    groups, several broadcasts per node-round, ties at the maximum."""
+    from repro.congest.stats import CutTracker, SimulationStats
+    from repro.engines.bulk import populate_stats
+
+    widths, size = RANDOM_SHAPES[shape]
+    for seed in range(40):
+        rng = random.Random(seed)
+        inv = _random_inventory(rng, widths, **size)
+        left = frozenset(rng.sample(range(inv.n_nodes), inv.n_nodes // 2))
+        expected = _brute_force_stats(inv, cut=left)
+        stats = SimulationStats()
+        stats.cut = CutTracker(left)
+        assert populate_stats(stats, inv) is not None
+        assert stats.summary() == expected.summary(), seed
+        assert stats.round_series == expected.round_series, seed
+        assert stats.cut.bits_per_round == expected.cut.bits_per_round, seed
+        # Over budget: no stats mutation, the caller must replay.
+        fresh = SimulationStats()
+        budget = expected.max_edge_bits_per_round - 1
+        assert populate_stats(fresh, inv, budget) is None
+        assert fresh.summary() == SimulationStats().summary()
+
+
+# ----------------------------------------------------------------------
+# Lemma 4 on the fast path
+# ----------------------------------------------------------------------
+def test_bulk_fast_path_rejects_colliding_aggregation_schedule(monkeypatch):
+    from repro.engines import bulk
+    from repro.exceptions import ProtocolError
+
+    real = bulk._inventory
+
+    def forged(plan, sim, token_sends):
+        inv = real(plan, sim, token_sends)
+        rounds = inv.agg_round.copy()
+        assert inv.agg_snd[0] == inv.agg_snd[1] == 0
+        rounds[1] = rounds[0]  # node 0's first two sends share a round
+        return inv._replace(agg_round=rounds)
+
+    monkeypatch.setattr(bulk, "_inventory", forged)
+    with pytest.raises(
+        ProtocolError, match=r"node 0: sources \d+ and \d+ share send round "
+        r"\d+ — Lemma 4 violated",
+    ):
+        distributed_betweenness(
+            figure1_graph(), arithmetic="lfloat", engine="bulk"
+        )
+
+
+# ----------------------------------------------------------------------
+# strict mode: a budget breach raises at the same send as the sweep
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "graph",
+    [barabasi_albert_graph(40, 3, seed=1), grid_graph(5, 6)],
+    ids=lambda g: g.name,
+)
+@pytest.mark.parametrize("factor", [1, 2, 3, 4, 6])
+def test_bulk_strict_violation_matches_sweep(graph, factor):
+    from repro.exceptions import CongestViolationError
+
+    raised = {}
+    for engine in ("sweep", "bulk"):
+        with pytest.raises(CongestViolationError) as info:
+            distributed_betweenness(
+                graph, arithmetic="lfloat", engine=engine, strict=True,
+                congest_factor=factor,
+            )
+        err = info.value
+        raised[engine] = (
+            err.round_number, err.sender, err.receiver, err.bits_used,
+            err.bits_allowed,
+        )
+    assert raised["bulk"] == raised["sweep"]
+
+
+# ----------------------------------------------------------------------
+# the sampling audit
+# ----------------------------------------------------------------------
+_BROADCAST_TYPES = {"TreeWave", "BfsWave"}
+
+
+def test_bulk_audit_samples_every_group_class(monkeypatch):
+    from repro.engines import bulk
+
+    frames = []
+    real = bulk.encode_frame
+
+    def recording(messages, wire):
+        frames.append({type(m).__name__ for m in messages})
+        return real(messages, wire)
+
+    monkeypatch.setattr(bulk, "encode_frame", recording)
+    distributed_betweenness(
+        barabasi_albert_graph(60, 3, seed=2), arithmetic="lfloat",
+        engine="bulk",
+    )
+    assert len(frames) >= 64
+    assert any(kinds <= _BROADCAST_TYPES for kinds in frames)
+    assert any(kinds & _BROADCAST_TYPES and kinds - _BROADCAST_TYPES
+               for kinds in frames)
+    assert any(not kinds & _BROADCAST_TYPES for kinds in frames)
+
+
+@pytest.mark.parametrize("kind", range(9))
+def test_bulk_audit_catches_overbilled_kind(monkeypatch, kind):
+    """Overbilling any one message kind by a single bit must trip the
+    fast path's audit — every kind's first send is in the sample."""
+    from repro.engines import bulk
+    from repro.exceptions import WireCodecError
+
+    real = bulk._billed_widths
+
+    def overbilled(wire, n_nodes, L):
+        widths = real(wire, n_nodes, L)
+        widths[kind] += 1
+        return widths
+
+    monkeypatch.setattr(bulk, "_billed_widths", overbilled)
+    with pytest.raises(WireCodecError, match="charged"):
+        distributed_betweenness(
+            barabasi_albert_graph(60, 3, seed=2), arithmetic="lfloat",
+            engine="bulk", strict=False,
+        )
