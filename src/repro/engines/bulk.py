@@ -11,8 +11,9 @@ never steps node objects.  It
 1. derives the full round schedule in O(N + E) Python (tree depths,
    census/announce rounds, the token walk, the completion convergecast),
 2. runs one *batched* multi-source BFS over all sources at once as numpy
-   structure-of-arrays ops — per-(source, node) distance/sigma/psi lanes
-   with :mod:`repro.engines.lfmath` carrying the L-float mantissa and
+   structure-of-arrays ops — per-(source, node) distance/sigma/psi lanes,
+   sigma as exact integers until a count could round, and
+   :mod:`repro.engines.lfmath` carrying the L-float mantissa and
    exponent in int64 arrays, bit-identical to the scalar arithmetic the
    other engines run,
 3. builds a *factored* send inventory — one event per node-round
@@ -261,31 +262,50 @@ def _ordered_fold(acc_m, acc_e, src_m, src_e, first, counts, L, mode):
     the fold applies ``acc = lf_add(acc, row)`` one position at a time
     across all groups simultaneously, reproducing the scalar engines'
     strictly sequential accumulation order (ascending sender) bit for
-    bit.  The loop runs ``max(counts)`` times — the max in-degree of the
-    level, not the total row count.
+    bit.  Groups are ranked once by count, longest first, so step ``j``
+    works on the prefix of groups that still hold a ``j``-th row: the
+    total work is the row count, however heavy-tailed the counts.
     """
-    j = 0
-    while True:
-        live = counts > j
-        if not live.any():
-            return acc_m, acc_e
-        rows = first[live] + j
-        nm, ne = lfmath.lf_add(
-            acc_m[live], acc_e[live], src_m[rows], src_e[rows], L, mode
+    if counts.size == 0:
+        return acc_m, acc_e
+    rank = np.argsort(-counts, kind="stable")
+    rows = first[rank]
+    m = acc_m[rank]
+    e = acc_e[rank]
+    # live[j]: the number of groups with more than j rows.
+    live = counts.size - np.cumsum(np.bincount(counts))
+    for j, k in enumerate(live[:-1].tolist()):
+        at = rows[:k] + j
+        m[:k], e[:k] = lfmath.lf_add(
+            m[:k], e[:k], src_m[at], src_e[at], L, mode
         )
-        acc_m[live] = nm
-        acc_e[live] = ne
-        j += 1
+    acc_m[rank] = m
+    acc_e[rank] = e
+    return acc_m, acc_e
 
 
 def _batched_bfs(plan: _Plan, indptr, indices, deg):
     """All-source level-synchronous BFS with packed (source, node) keys.
 
-    Pair ``p = s_idx * N + v`` settles at level ``d(s, v)``; per level
-    the predecessor rows (pair, pred) are kept — sorted by (pair, pred),
-    which is both the scalar inbox order (ascending sender) and the
-    record's sorted predecessor tuple.  Sigma lanes are folded in that
-    order with ceil rounding, exactly like ``CountingPhase._settle_source``.
+    Pair ``p = s_idx * N + v`` settles at level ``d(s, v)``.  Each level
+    expands the (sorted) frontier into rows ``(pred, succ)`` — grouped
+    by predecessor pair with successors ascending — and stably sorts
+    them by successor, which yields the (pair, pred) order: the scalar
+    inbox order (ascending sender) and the record's sorted predecessor
+    tuple.
+
+    Sigma is an exact integer lane while it can be.  The scalar engines
+    fold ``from_int(1)`` values with ceil rounding, but a sum of
+    non-negative integers below ``2**L`` is an L-float, so every partial
+    sum is exact and ceil never fires (Lemma 1).  Each level therefore
+    settles with one ``add.reduceat``; the first level whose settled sum
+    reaches ``2**L`` converts the lane to (m, e) and it and every later
+    level fold with ceil rounding, exactly like
+    ``CountingPhase._settle_source``.  Addends stay below ``2**30`` and
+    number at most N per pair, so the int64 lane cannot overflow.
+
+    Returns the per-level ``(pred, succ, order)`` rows (``order`` sorts
+    them by (succ, pred)) and the pairs settled at each level.
     """
     N = plan.N
     L = plan.L
@@ -293,66 +313,72 @@ def _batched_bfs(plan: _Plan, indptr, indices, deg):
     pair0 = np.arange(S, dtype=np.int64) * N + plan.src
     dist = np.full(S * N, -1, dtype=np.int64)
     dist[pair0] = 0
-    sig_m = np.zeros(S * N, dtype=np.int64)
-    sig_e = np.zeros(S * N, dtype=np.int64)
-    one = np.int64(1) << (L - 1)
-    sig_m[pair0] = one  # sigma_one = from_int(1) = (2**(L-1), 1)
-    sig_e[pair0] = 1
-    level_rows: List[Tuple[np.ndarray, np.ndarray]] = []
+    sig = np.zeros(S * N, dtype=np.int64)
+    sig[pair0] = 1
+    sig_m = sig_e = None
+    levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     settled: List[np.ndarray] = [pair0]
     frontier = pair0
     level = 0
     while frontier.size:
         level += 1
         vs = frontier % N
-        s_part = frontier - vs
         counts = deg[vs]
-        rp = np.repeat(frontier, counts)
-        starts = np.repeat(indptr[vs], counts)
-        offsets = np.arange(rp.size, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
+        base = np.cumsum(counts) - counts
+        edge = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+            indptr[vs] - base, counts
         )
-        targets = indices[starts + offsets]
-        cand = np.repeat(s_part, counts) + targets
+        cand = np.repeat(frontier - vs, counts) + indices[edge]
         mask = dist[cand] < 0
-        cand = cand[mask]
-        senders = rp[mask] % N
-        if cand.size == 0:
+        succ = cand[mask]
+        if succ.size == 0:
             break
-        order = np.lexsort((senders, cand))
-        qs = cand[order]
-        ps = senders[order]
-        first = np.concatenate(([0], np.flatnonzero(qs[1:] != qs[:-1]) + 1))
-        cnts = np.diff(np.concatenate((first, [qs.size])))
+        pred = np.repeat(frontier, counts)[mask]
+        order = np.argsort(succ, kind="stable")
+        qs = succ[order]  # settling pairs and their predecessor pairs,
+        ps = pred[order]  # in (pair, pred) order
+        first = np.flatnonzero(np.diff(qs, prepend=qs[:1] - 1))
         uniq = qs[first]
         dist[uniq] = level
-        sender_pairs = (qs - qs % N) + ps
-        acc_m = sig_m[sender_pairs[first]].copy()
-        acc_e = sig_e[sender_pairs[first]].copy()
-        # Remaining predecessors fold in ascending-sender order (ceil).
-        _ordered_fold(
-            acc_m, acc_e,
-            sig_m[sender_pairs], sig_e[sender_pairs],
-            first + 1, cnts - 1, L, "ceil",
-        )
-        sig_m[uniq] = acc_m
-        sig_e[uniq] = acc_e
-        level_rows.append((qs, ps))
+        if sig_m is None:
+            total = np.add.reduceat(sig[ps], first)
+            if total.max() < (1 << L):
+                sig[uniq] = total
+            else:
+                sig_m, sig_e = lfmath.lf_from_int(sig, L)
+                sig = None
+        if sig_m is not None:
+            acc_m = sig_m[ps[first]]
+            acc_e = sig_e[ps[first]]
+            # Remaining predecessors fold in ascending-sender order (ceil).
+            _ordered_fold(
+                acc_m, acc_e, sig_m[ps], sig_e[ps],
+                first + 1, np.diff(first, append=qs.size) - 1, L, "ceil",
+            )
+            sig_m[uniq] = acc_m
+            sig_e[uniq] = acc_e
+        levels.append((pred, succ, order))
         settled.append(uniq)
         frontier = uniq
+    if sig_m is None:
+        sig_m, sig_e = lfmath.lf_from_int(sig, L)
     plan.dist_flat = dist
     plan.sig_m = sig_m
     plan.sig_e = sig_e
-    return level_rows, settled
+    return levels, settled
 
 
-def _psi_recursion(plan: _Plan, config, level_rows, settled):
+def _psi_recursion(plan: _Plan, config, levels, settled):
     """Descending-level psi/value computation (Algorithm 3, Eq. 14).
 
     Values telescope down the BFS DAG: pairs at level l send
     ``unit + psi`` to their predecessors at level l - 1, whose psi is the
     ascending-sender floor-fold of the arriving values — one fold per
     pair, because all of a pair's successors send in the same round.
+    The BFS expansion rows are already in that order (grouped by
+    predecessor, successors ascending), so no level is re-sorted.
+    Consumes ``levels`` and ``settled``, freeing each level's rows once
+    folded.
     """
     N = plan.N
     L = plan.L
@@ -378,30 +404,23 @@ def _psi_recursion(plan: _Plan, config, level_rows, settled):
         )
         unit_m = np.where(tpair, rm, np.int64(0))
         unit_e = np.where(tpair, re, np.int64(0))
-    for lev in range(len(level_rows), 0, -1):
-        pairs = settled[lev]
+    while levels:
+        pairs = settled.pop()
         vm, ve = lfmath.lf_add(
             unit_m[pairs], unit_e[pairs], psi_m[pairs], psi_e[pairs], L, "floor"
         )
         val_m[pairs] = vm
         val_e[pairs] = ve
-        qs, ps = level_rows[lev - 1]
-        recv = (qs - qs % N) + ps
-        order = np.lexsort((qs, recv))
-        recv_s = recv[order]
-        send_s = qs[order]
-        first = np.concatenate(
-            ([0], np.flatnonzero(recv_s[1:] != recv_s[:-1]) + 1)
-        )
-        cnts = np.diff(np.concatenate((first, [recv_s.size])))
-        uniq = recv_s[first]
-        acc_m = np.zeros(uniq.size, dtype=np.int64)
-        acc_e = np.zeros(uniq.size, dtype=np.int64)
+        recv, send = levels.pop()
+        first = np.flatnonzero(np.diff(recv, prepend=recv[:1] - 1))
+        # A fold from zero starts with its first row verbatim.
+        acc_m = val_m[send[first]]
+        acc_e = val_e[send[first]]
         _ordered_fold(
-            acc_m, acc_e,
-            val_m[send_s], val_e[send_s],
-            first, cnts, L, "floor",
+            acc_m, acc_e, val_m[send], val_e[send],
+            first + 1, np.diff(first, append=recv.size) - 1, L, "floor",
         )
+        uniq = recv[first]
         psi_m[uniq] = acc_m
         psi_e[uniq] = acc_e
     plan.psi_m = psi_m
@@ -698,7 +717,10 @@ def _group(key):
     """Sort ``key`` into runs: ``(order, first, counts, unique keys)``."""
     order = np.argsort(key)
     ks = key[order]
-    first = np.flatnonzero(np.diff(ks, prepend=ks[:1] - 1))
+    starts = np.empty(ks.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ks[1:], ks[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
     return order, first, np.diff(first, append=ks.size), ks[first]
 
 
@@ -775,7 +797,9 @@ def populate_stats(stats, inv: Inventory, budget: Optional[int] = None):
     p_load = np.add.reduceat(inv.p_bits[p_order], p_first)
     p_node_round = p_keys // N
     at, mixed = _lookup(b_keys, p_node_round)
-    e_load = p_load + np.where(mixed, b_load[at], 0)
+    # Mixed groups are few: add their broadcast loads in place.
+    e_load = p_load.copy()
+    e_load[mixed] += b_load[at[mixed]]
     max_bits = max(int(b_load.max()), int(e_load.max()))
     if budget is not None and max_bits > budget:
         return None
@@ -819,7 +843,8 @@ def populate_stats(stats, inv: Inventory, budget: Optional[int] = None):
     stats.max_edge_bits_per_round = max_bits
     stats.max_edge_messages_per_round = max(
         int(b_cnt.max()),
-        int((p_cnt + np.where(mixed, b_cnt[at], 0)).max()),
+        int(p_cnt.max()),
+        int((p_cnt[mixed] + b_cnt[at[mixed]]).max(initial=0)),
     )
     stats.worst_edge = worst
     cut = stats.cut
@@ -1283,16 +1308,18 @@ def _compute(sim) -> _Plan:
         [plan.first_visit[s] + 1 for s in src_list], dtype=np.int64
     )
 
-    level_rows, settled = _batched_bfs(plan, indptr, indices, deg)
-    if level_rows:
-        qs_all = np.concatenate([q for q, _ in level_rows])
-        ps_all = np.concatenate([p for _, p in level_rows])
-    else:  # pragma: no cover - N >= 2 and connected always yields levels
-        qs_all = np.empty(0, dtype=np.int64)
-        ps_all = np.empty(0, dtype=np.int64)
-    row_order = np.lexsort((ps_all, qs_all))
+    levels, settled = _batched_bfs(plan, indptr, indices, deg)
+    # Each level's rows sort by (pair, pred) through their level order,
+    # and every pair settles at one level, so a stable sort by pair
+    # alone orders the concatenation the same way.
+    qs_all = np.concatenate([succ[order] for _, succ, order in levels])
+    row_order = np.argsort(qs_all, kind="stable")
     plan.pair_rows = qs_all[row_order]
-    plan.pred_rows = ps_all[row_order]
+    plan.pred_rows = np.concatenate(
+        [pred[order] for pred, _, order in levels]
+    )[row_order] % N
+    del qs_all, row_order
+    levels = [(pred, succ) for pred, succ, _ in levels]
     plan.pred_indptr = np.zeros(S * N + 1, dtype=np.int64)
     plan.pred_indptr[1:] = np.cumsum(
         np.bincount(plan.pair_rows, minlength=S * N)
@@ -1341,7 +1368,7 @@ def _compute(sim) -> _Plan:
     if plan.aggregate:
         plan.rounds = plan.horizon + 2
         plan.done_round = [plan.horizon + 1] * N
-        _psi_recursion(plan, config, level_rows, settled)
+        _psi_recursion(plan, config, levels, settled)
         _betweenness_fold(plan)
     else:
         # Counting-only runs (distributed APSP): every node halts the
@@ -1396,6 +1423,7 @@ def run_bulk(sim):
             profiler.add("engine.bulk.replay", perf_counter() - started)
     else:
         _sampling_audit(sim, plan, reduction)
+        del reduction  # free the groupings before the node back-fill
         if profiler is not None:
             profiler.add("engine.bulk.stats", perf_counter() - started)
     _emit_phase_marks(sim, plan)

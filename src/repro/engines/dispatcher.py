@@ -122,12 +122,15 @@ def bulk_capability(simulator) -> Tuple[bool, str]:
             "protocol {!r} is not bulk-capable (the closed-form array "
             "program encodes the stock schedule only)".format(protocol.name)
         )
-    if not numpy_available():
-        return False, "numpy is not installed (pip install 'repro[fast]')"
+    # The cheap structural checks run before the numpy probe, so a run
+    # that could never go bulk (a fault plan, a single node) does not
+    # pay for importing numpy.
     if simulator.faults is not None:
         return False, "fault injection requires per-message delivery"
     if simulator.graph.num_nodes < 2:
         return False, "bulk vectorization needs at least two nodes"
+    if not numpy_available():
+        return False, "numpy is not installed (pip install 'repro[fast]')"
     # Deferred import: repro.core pulls in the whole protocol stack and
     # repro.congest.simulator imports this module lazily.
     from repro.arithmetic.context import LFloatArithmetic

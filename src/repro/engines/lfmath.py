@@ -37,6 +37,7 @@ from repro.exceptions import LFloatRangeError
 __all__ = [
     "bit_length",
     "lf_add",
+    "lf_from_int",
     "lf_mul",
     "lf_reciprocal",
     "uint_bits_arr",
@@ -105,6 +106,17 @@ def _check_range(e: np.ndarray, L: int) -> None:
                 bad, limit, limit, L
             )
         )
+
+
+def lf_from_int(x, L: int):
+    """Elementwise ``LFloat.from_int`` for non-negative ``x < 2**L``.
+
+    Such integers are exact: the mantissa is ``x`` shifted up to ``L``
+    bits and the exponent its bit length (``from_int(1)`` is
+    ``(2**(L-1), 1)``); zero stays ``(0, 0)``.
+    """
+    e = bit_length(x)
+    return x << (L - e), e
 
 
 def lf_add(ma, ea, mb, eb, L: int, mode: str):

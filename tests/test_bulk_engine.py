@@ -31,6 +31,7 @@ from repro.graphs import (
     barabasi_albert_graph,
     connected_erdos_renyi_graph,
     cycle_graph,
+    diamond_chain_graph,
     figure1_graph,
     grid_graph,
     path_graph,
@@ -529,3 +530,162 @@ def test_bulk_audit_catches_overbilled_kind(monkeypatch, kind):
             barabasi_albert_graph(60, 3, seed=2), arithmetic="lfloat",
             engine="bulk", strict=False,
         )
+
+
+# ----------------------------------------------------------------------
+# sigma: exact integers until a settled sum reaches 2**L, then L-floats
+# ----------------------------------------------------------------------
+def _exact_switch_level(graph, sources, L):
+    """(first BFS level with a path count >= 2**L, BFS depth), exactly."""
+    switch = None
+    depth = 0
+    for s in sources:
+        sigma = {s: 1}
+        frontier = [s]
+        level = 0
+        while frontier:
+            level += 1
+            arrived = {}
+            for v in frontier:
+                for u in graph.neighbors(v):
+                    if u not in sigma:
+                        arrived[u] = arrived.get(u, 0) + sigma[v]
+            if not arrived:
+                break
+            depth = max(depth, level)
+            if max(arrived.values()) >= 1 << L and (
+                switch is None or level < switch
+            ):
+                switch = level
+            sigma.update(arrived)
+            frontier = list(arrived)
+    return switch, depth
+
+
+SWITCH_CASES = [
+    (grid_graph(7, 7), None),  # path counts cross 2**8 mid-BFS
+    (diamond_chain_graph(10), None),  # sigma = 2**k: crosses deep
+    (grid_graph(7, 7), frozenset({0, 10, 24, 48})),
+]
+
+
+@pytest.mark.parametrize(
+    "graph,sources",
+    SWITCH_CASES,
+    ids=["grid-7x7", "diamonds-10", "grid-7x7-subset"],
+)
+def test_bulk_sigma_switch_to_lfloat_is_bit_identical(
+    monkeypatch, graph, sources
+):
+    """The bulk BFS carries sigma as exact integers and converts to
+    ceil-rounded L-floats at the first level whose settled sum reaches
+    2**L; results, stats and ledgers stay identical to sweep and event
+    across the switch."""
+    from repro.engines import bulk
+
+    L = 8
+    config = ProtocolConfig(sources=sources)
+    modes = []
+    fold = bulk._ordered_fold
+
+    def spy(*args):
+        modes.append(args[-1])
+        return fold(*args)
+
+    monkeypatch.setattr(bulk, "_ordered_fold", spy)
+    runs = {
+        engine: distributed_betweenness(
+            graph, arithmetic="lfloat-{}".format(L), engine=engine,
+            config=config,
+        )
+        for engine in ("sweep", "event", "bulk")
+    }
+    assert runs["bulk"].stats.engine == "bulk"
+    switch, depth = _exact_switch_level(
+        graph, sorted(sources or range(graph.num_nodes)), L
+    )
+    assert switch is not None and 1 < switch <= depth
+    # One ceil fold per level from the switch on, none before it.
+    assert modes.count("ceil") == depth - switch + 1
+    reference = _fp(runs["sweep"])
+    for engine in ("event", "bulk"):
+        assert _fp(runs[engine]) == reference, engine
+        for node, ref in zip(runs[engine].nodes, runs["sweep"].nodes):
+            assert sorted(node.ledger.sources()) == sorted(ref.ledger.sources())
+            for s in ref.ledger.sources():
+                got, want = node.ledger.get(s), ref.ledger.get(s)
+                assert repr(got.sigma) == repr(want.sigma), (engine, s)
+                assert tuple(got.preds) == tuple(want.preds)
+
+
+# ----------------------------------------------------------------------
+# the prefix-sliced ordered fold vs a scalar left-fold
+# ----------------------------------------------------------------------
+def _fold_case(rng, L, singletons):
+    """Random groups over a row pool: zero lanes, empty groups, and one
+    100-row group among many singletons (the heavy-tailed BA shape)."""
+    counts = [1] * singletons + [0] * 50 + [100] + [
+        rng.randrange(2, 8) for _ in range(40)
+    ]
+    rng.shuffle(counts)
+    firsts, pos = [], 0
+    for c in counts:
+        firsts.append(pos)
+        pos += c
+    src_m, src_e, src = _random_lfloats(rng, L, pos)
+    acc_m, acc_e, acc = _random_lfloats(rng, L, len(counts))
+    return (
+        acc_m, acc_e, acc, src_m, src_e, src,
+        np.array(firsts, dtype=np.int64), np.array(counts, dtype=np.int64),
+    )
+
+
+# L >= 8: at L = 4 a 100-row ceil fold can outgrow the exponent range.
+@pytest.mark.parametrize("L", [8, 17, 30])
+@pytest.mark.parametrize("mode", list(Rounding))
+def test_ordered_fold_matches_scalar_left_fold(L, mode):
+    from repro.engines.bulk import _ordered_fold
+
+    rng = random.Random(4000 + L)
+    acc_m, acc_e, acc, src_m, src_e, src, first, counts = _fold_case(
+        rng, L, singletons=3000
+    )
+    out_m, out_e = _ordered_fold(
+        acc_m.copy(), acc_e.copy(), src_m, src_e, first, counts, L, mode.value
+    )
+    for g, (f, c) in enumerate(zip(first.tolist(), counts.tolist())):
+        want = acc[g]
+        for row in src[f: f + c]:
+            want = want.add(row, mode)
+        assert (int(out_m[g]), int(out_e[g])) == (
+            want.mantissa, want.exponent
+        ), (g, c)
+
+
+def test_ordered_fold_handles_no_groups_and_no_rows():
+    from repro.engines.bulk import _ordered_fold
+
+    empty = np.empty(0, dtype=np.int64)
+    assert [a.size for a in _ordered_fold(
+        empty, empty, empty, empty, empty, empty, 8, "floor"
+    )] == [0, 0]
+    acc = np.array([0, 200], dtype=np.int64)
+    out_m, out_e = _ordered_fold(
+        acc.copy(), acc.copy(), empty, empty,
+        np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64), 8, "ceil",
+    )
+    assert out_m.tolist() == [0, 200] and out_e.tolist() == [0, 200]
+
+
+@pytest.mark.parametrize("L", [4, 8, 30])
+def test_lf_from_int_matches_scalar(L):
+    from repro.engines.lfmath import lf_from_int
+
+    rng = random.Random(5000 + L)
+    values = [0, 1, 2, 3, (1 << L) - 1] + [
+        rng.randrange(1 << L) for _ in range(200)
+    ]
+    m, e = lf_from_int(np.array(values, dtype=np.int64), L)
+    for i, x in enumerate(values):
+        want = LFloat.from_int(x, L, Rounding.CEIL)
+        assert (int(m[i]), int(e[i])) == (want.mantissa, want.exponent), x

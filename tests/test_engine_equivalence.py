@@ -340,6 +340,32 @@ def test_explicit_bulk_without_numpy_raises(monkeypatch):
         reset_probe()
 
 
+def test_auto_chaos_run_never_imports_numpy():
+    """A fault plan rules bulk out before the numpy probe: a chaos run
+    under ``--engine auto`` finishes without numpy ever being imported."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    script = (
+        "import contextlib, io, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['chaos', '--graph', 'cycle:12', '--drop', '0.05',"
+        " '--dup', '0.02', '--engine', 'auto', '--seed', '3'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # ----------------------------------------------------------------------
 # parallel runner: fan-out must not change results
 # ----------------------------------------------------------------------
