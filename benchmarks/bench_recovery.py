@@ -95,13 +95,18 @@ def measure_resume(sizes=SIZES, families=None, protocols=PROTOCOLS):
                     supervised = _run(
                         graph,
                         protocol,
-                        checkpoint_every=20,
-                        checkpoint_dir=ckpt_dir,
+                        supervision=SupervisionConfig(
+                            checkpoint_every=20, checkpoint_dir=ckpt_dir
+                        ),
                     )
                     supervised_seconds = time.perf_counter() - start
                     ckpt = resolve_checkpoint(Path(ckpt_dir))
                     start = time.perf_counter()
-                    resumed = _run(graph, protocol, resume_from=str(ckpt))
+                    resumed = _run(
+                        graph,
+                        protocol,
+                        supervision=SupervisionConfig(resume_from=str(ckpt)),
+                    )
                     recovery_seconds = time.perf_counter() - start
                 finally:
                     shutil.rmtree(ckpt_dir, ignore_errors=True)
@@ -222,7 +227,10 @@ def measure_overhead(n=OVERHEAD_N, every=OVERHEAD_EVERY,
         try:
             start = time.perf_counter()
             result = _run(
-                graph, checkpoint_every=every, checkpoint_dir=ckpt_dir
+                graph,
+                supervision=SupervisionConfig(
+                    checkpoint_every=every, checkpoint_dir=ckpt_dir
+                ),
             )
             wall = time.perf_counter() - start
         finally:

@@ -6,11 +6,12 @@ across several seeds on both engines, and fails unless
 * every recoverable plan recovers the exact fault-free betweenness
   (equal to Brandes, since the arithmetic is exact),
 * the recovery is deterministic: both engines agree on the recovered
-  values, the round count and every engine-independent fault counter,
+  values, the round count and every fault counter,
 * the unrecoverable plan (a permanent crash) terminates early with a
   completeness report naming the crashed node and a partial
   betweenness that matches a Brandes restricted to the surviving
-  sources.
+  sources, on the sweep, event and 2-worker shard engines alike: same
+  rounds, same stall round, same fault counters.
 
 Usage::
 
@@ -37,6 +38,8 @@ from repro.graphs import connected_erdos_renyi_graph, figure1_graph  # noqa: E40
 
 SEEDS = (1, 2, 3, 4, 5)
 ENGINES = ("sweep", "event")
+#: (engine, workers) for the unrecoverable plan.
+PARTIAL_ENGINES = (("sweep", 1), ("event", 1), ("shard", 2))
 
 
 def _plans(seed):
@@ -81,7 +84,6 @@ def _brandes_subset(graph, sources):
 def _comparable(result):
     """Everything recovery determinism requires the engines to agree on."""
     counters = result.stats.faults.as_dict()
-    counters.pop("crash_rounds")  # engine-dependent by design
     return (
         sorted(result.betweenness_exact.items()),
         result.rounds,
@@ -127,26 +129,48 @@ def main() -> int:
                     "run".format(seed, name)
                 )
 
-    # Unrecoverable plan: early termination + honest partial result.
+    # Unrecoverable plan: early termination + honest partial result,
+    # identical on every engine.
     fig = figure1_graph()
-    partial = distributed_betweenness(
-        fig,
-        arithmetic="exact",
-        faults=FaultPlan(seed=1, crashes=(CrashWindow(3, 40, None),)),
-        resilient=True,
-    )
-    report = partial.completeness
-    checked += 1
-    if report.complete or report.crashed_nodes != (3,):
-        failures.append("permanent crash: completeness report wrong")
-    else:
+    partial_runs = {}
+    for engine, workers in PARTIAL_ENGINES:
+        partial = distributed_betweenness(
+            fig,
+            arithmetic="exact",
+            engine=engine,
+            workers=workers,
+            faults=FaultPlan(seed=1, crashes=(CrashWindow(3, 40, None),)),
+            resilient=True,
+        )
+        report = partial.completeness
+        checked += 1
+        partial_runs[engine] = (
+            partial.rounds,
+            report.stalled_round,
+            partial.stats.faults.as_dict(),
+        )
+        if report.complete or report.crashed_nodes != (3,):
+            failures.append(
+                "permanent crash on {}: completeness report "
+                "wrong".format(engine)
+            )
+            continue
         subset = _brandes_subset(fig, report.complete_sources)
         if any(
             partial.betweenness_exact[v] != subset[v] for v in fig.nodes()
         ):
             failures.append(
-                "permanent crash: partial values diverge from the "
-                "source-subset Brandes"
+                "permanent crash on {}: partial values diverge from the "
+                "source-subset Brandes".format(engine)
+            )
+    reference = partial_runs.pop("sweep")
+    for engine, outcome in partial_runs.items():
+        if outcome != reference:
+            failures.append(
+                "permanent crash: {} disagrees with sweep on rounds, "
+                "stall round or fault counters: {} vs {}".format(
+                    engine, outcome, reference
+                )
             )
 
     if failures:

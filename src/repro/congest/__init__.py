@@ -1,6 +1,6 @@
 """Synchronous CONGEST-model network simulator (Section III-A)."""
 
-from repro.congest.message import (
+from repro.wire import (
     IntMessage,
     Message,
     PayloadMessage,

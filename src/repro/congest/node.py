@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.congest.message import Message
+from repro.wire import Message
 
 #: The inbox handed to ``on_round``: (sender id, message) pairs, in
 #: deterministic (sender-sorted, enqueue-ordered) order.

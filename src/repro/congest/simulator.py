@@ -23,7 +23,9 @@ in-flight lists are sender-sorted by construction — no per-round sort is
 needed), so every run (and therefore every benchmark table) is exactly
 reproducible.
 
-Two execution engines share these semantics:
+Two execution engines share these semantics — they are the two
+active-set policies of one :class:`~repro.congest.kernel.RoundKernel`
+driven by one loop:
 
 * ``engine="sweep"`` (the default) calls ``on_round`` on **every** node
   **every** round, exactly like a lockstep hardware network would.  It
@@ -55,19 +57,14 @@ Two execution engines share these semantics:
 
 from __future__ import annotations
 
-import gc
-import heapq
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from repro.congest.node import Inbox, NodeAlgorithm, NodeFactory, RoundContext
+from repro.congest.kernel import RoundKernel
+from repro.congest.node import NodeAlgorithm, NodeFactory
 from repro.congest.stats import CutTracker, SimulationStats
-from repro.exceptions import (
-    CongestViolationError,
-    SimulationNotTerminatedError,
-    WireCodecError,
-)
-from repro.wire import Message, WireFormat, encode_frame
+from repro.exceptions import SimulationNotTerminatedError
+from repro.wire import WireFormat
 from repro.graphs.graph import Graph
 
 #: Default per-edge budget multiplier: budget = factor * ceil(log2 N).
@@ -162,13 +159,6 @@ class Simulator:
         class (``None`` for unregistered custom algorithms).  The
         engine dispatcher, the progress estimator and the telemetry
         metadata consult it instead of probing for the stock node.
-    gc_pause:
-        Pause the cyclic garbage collector for the duration of the
-        run.  Off by default — the array-backed ledger removed the
-        Theta(N^2) tracked records that once made this dominate (see
-        :meth:`run`); opt in for long single-process event-engine
-        sweeps, where skipping collections over the message churn is
-        still worth ~15% at N = 800.
     workers:
         Number of worker processes for ``engine="shard"`` (ignored by
         the single-process engines).  Shard 0 runs inside this process;
@@ -183,11 +173,6 @@ class Simulator:
         shard coordinator into a supervisor (heartbeat watchdog, worker
         respawn, round-boundary checkpoints, resume).  Requires
         ``engine="shard"``; see ``docs/recovery.md``.
-    checkpoint_every, checkpoint_dir, max_restarts, heartbeat_timeout,
-    resume_from:
-        Scalar shorthands assembled into a ``SupervisionConfig`` when
-        ``supervision`` is not given.  All default to off; setting any
-        of them implies supervision (and therefore ``engine="shard"``).
     """
 
     def __init__(
@@ -205,15 +190,9 @@ class Simulator:
         frame_audit: bool = False,
         faults=None,
         protocol=None,
-        gc_pause: bool = False,
         workers: int = 1,
         partitioner: str = "greedy",
         supervision=None,
-        checkpoint_every: int = 0,
-        checkpoint_dir=None,
-        max_restarts: int = 0,
-        heartbeat_timeout: Optional[float] = None,
-        resume_from=None,
     ):
         if engine not in ENGINES:
             raise ValueError(
@@ -240,40 +219,8 @@ class Simulator:
         self.workers = workers
         self.partitioner = partitioner
         # Supervision (heartbeats, respawn, round-boundary checkpoints,
-        # resume) for engine="shard".  An explicit SupervisionConfig
-        # wins; otherwise the scalar knobs assemble one; otherwise None
-        # keeps the unsupervised fast path byte-for-byte intact.
-        if supervision is not None:
-            self.supervision = supervision
-        elif (
-            checkpoint_every
-            or max_restarts
-            or heartbeat_timeout is not None
-            or checkpoint_dir is not None
-            or resume_from is not None
-        ):
-            from repro.shard.supervisor import (
-                DEFAULT_HEARTBEAT_TIMEOUT,
-                SupervisionConfig,
-            )
-
-            self.supervision = SupervisionConfig(
-                heartbeat_timeout=(
-                    heartbeat_timeout if heartbeat_timeout is not None
-                    else DEFAULT_HEARTBEAT_TIMEOUT
-                ),
-                max_restarts=max_restarts,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=(
-                    str(checkpoint_dir) if checkpoint_dir is not None
-                    else None
-                ),
-                resume_from=(
-                    str(resume_from) if resume_from is not None else None
-                ),
-            )
-        else:
-            self.supervision = None
+        # resume) for engine="shard"; None keeps the unsupervised path.
+        self.supervision = supervision
         self.graph = graph
         self.strict = strict
         self.engine = engine
@@ -297,34 +244,9 @@ class Simulator:
         self.nodes: List[NodeAlgorithm] = [
             node_factory(v, graph.neighbors(v)) for v in graph.nodes()
         ]
-        # messages delivered at the start of the *next* round:
-        # receiver -> list of (sender, message).  Senders are stepped in
-        # id order, so each list is sender-sorted by construction.
-        self._in_flight: Dict[int, List[Tuple[int, Message]]] = {}
-        # Reusable per-round edge accounting buffer (cleared, never
-        # reallocated): directed edge -> [messages, bits] this round.
-        self._edge_load: Dict[Tuple[int, int], List[int]] = {}
-        # Frame audit (off by default): directed edge -> the round's
-        # message objects, encoded and length-checked at round end.
+        #: Frame audit (off by default): every per-edge round frame is
+        #: encoded and length-checked against the billed bits.
         self.frame_audit = frame_audit
-        self._edge_frames: Dict[Tuple[int, int], List[Message]] = {}
-        # Event engine state: a heap of pending wake rounds plus a
-        # per-node set of registered rounds (deduplicating re-requests).
-        self._wake_heap: List[Tuple[int, int]] = []
-        self._wake_pending: List[Set[int]] = [set() for _ in self.nodes]
-        # Per-node accumulation inboxes (event engine): delivered but
-        # not yet consumed messages.  A node consumes its buffer when
-        # stepped; passive messages may sit here across several rounds.
-        self._deferred: List[Optional[List[Tuple[int, Message]]]] = [
-            None for _ in self.nodes
-        ]
-        # Nodes whose class overrides message_wakes get the per-message
-        # delivery filter; everyone else wakes on any arrival without
-        # paying a method call per message.
-        base_wakes = NodeAlgorithm.message_wakes
-        self._has_wake_filter: List[bool] = [
-            type(node).message_wakes is not base_wakes for node in self.nodes
-        ]
         # Fault injection (None = zero-cost fast path).  A bare
         # FaultPlan is wrapped in a fresh injector here; the import is
         # lazy so repro.congest keeps no hard dependency on repro.faults.
@@ -333,18 +255,9 @@ class Simulator:
 
             faults = FaultInjector(faults, tracer=tracer)
         self.faults = faults
-        # Messages maturing later than next round (delays, duplicates):
-        # a heap of (delivery round, tiebreak, sender, target, message).
-        self._future: List[Tuple[int, int, int, int, Message]] = []
-        self._future_seq = 0
         if faults is not None:
             faults.bind(self)
             self.stats.faults = faults.stats
-        #: Explicit GC pause around the run loop.  The PR 1 workaround
-        #: for the old object-ledger's Theta(N^2) tracked records; the
-        #: array-backed ledger keeps its rows in GC-invisible buffers,
-        #: so the pause is off by default and opt-in for long sweeps.
-        self.gc_pause = gc_pause
         # The registered protocol this run executes: an explicit name /
         # descriptor, or inferred from the node class the factory built
         # (transport wrappers expose the protocol node as ``.inner``).
@@ -389,418 +302,123 @@ class Simulator:
     def run(self) -> SimulationStats:
         """Drive rounds until every node is done and no message is in flight.
 
-        Historical note: PR 1 paused the cyclic garbage collector here
-        unconditionally, because the old object-backed ledger grew
-        Theta(N^2) tracked records and each allocation-triggered
-        collection scanned them for nothing (over half the wall clock
-        at N = 800).  The array-backed
-        :class:`~repro.core.records.NodeLedger` keeps its rows in flat
-        buffers the collector never sees, so the unconditional pause is
-        retired: runs up to N = 2000 complete on the event engine with
-        GC live.  What remains is ordinary collection pressure from the
-        per-round message churn — measured ~15% of wall clock at
-        N = 800 on the event engine — so the pause survives as the
-        opt-in ``gc_pause`` flag for long single-process sweeps
-        (correctness is identical either way).
-
         Returns the populated :class:`SimulationStats`.
         """
         telemetry = self.telemetry
         if telemetry is not None:
             telemetry.on_run_start(self)
-        pause = self.gc_pause and gc.isenabled()
-        if pause:
-            gc.disable()
-        try:
-            if self.engine == "event":
-                stats = self._run_event()
-            elif self.engine == "bulk":
-                from repro.engines.bulk import run_bulk
+        if self.engine == "bulk":
+            from repro.engines.bulk import run_bulk
 
-                stats = run_bulk(self)
-            elif self.engine == "shard":
-                from repro.shard.runtime import run_shard
+            stats = run_bulk(self)
+        elif self.engine == "shard":
+            from repro.shard.runtime import run_shard
 
-                stats = run_shard(self)
-            else:
-                stats = self._run_sweep()
-        finally:
-            if pause:
-                gc.enable()
+            stats = run_shard(self)
+        else:
+            stats = self._run_rounds()
         if telemetry is not None:
             telemetry.on_run_end(stats)
         return stats
 
-    # ------------------------------------------------------------------
-    # sweep engine: the reference lockstep loop
-    # ------------------------------------------------------------------
-    def _run_sweep(self) -> SimulationStats:
-        all_ids = range(len(self.nodes))
+    def _run_rounds(self) -> SimulationStats:
+        """The sweep and event engines: one loop over a :class:`RoundKernel`.
+
+        Sweep steps every node every round; event steps the woken ones
+        and fast-forwards idle stretches to the next wake, delayed
+        delivery or stall deadline.
+        """
+        nodes = self.nodes
+        n = len(nodes)
+        sweep = self.engine == "sweep"
+        kernel = RoundKernel(self, range(n), sweep=sweep)
+        edge_load = kernel.edge_load
+        stats = self.stats
         telemetry = self.telemetry
         profiler = telemetry.profiler if telemetry is not None else None
+        on_round_end = None
         # Streaming/progress tick: bound once, None on the fast path, so
         # a run without a bus or estimator pays one identity check per
         # round (same discipline as tracer/faults).
         on_tick = None
-        if telemetry is not None and getattr(telemetry, "wants_ticks", False):
-            on_tick = telemetry.on_round_tick
+        if telemetry is not None:
+            on_round_end = telemetry.on_round_end
+            if getattr(telemetry, "wants_ticks", False):
+                on_tick = telemetry.on_round_tick
         faults = self.faults
+        if faults is not None:
+            from repro.faults.injector import stall_deadline
+        max_rounds = self.max_rounds
         round_number = 0
-        while True:
-            if on_tick is not None:
-                on_tick(round_number)
-            if faults is not None:
-                faults.check_stalled(round_number, self)
-                if self._future:
-                    self._mature_futures(round_number)
-            if round_number > self.max_rounds:
-                raise SimulationNotTerminatedError(
-                    round_number,
-                    self.max_rounds,
-                    tuple(n.node_id for n in self.nodes if not n.done),
-                    self.graph.name,
-                )
-            inboxes, had_traffic = self._deliver()
-            if (
-                not had_traffic
-                and round_number > 0
-                and not self._future
-                and self._all_done()
-            ):
-                break
-            if profiler is None:
-                self._step(round_number, inboxes, all_ids)
-            else:
-                started = perf_counter()
-                self._step(round_number, inboxes, all_ids)
-                profiler.add("engine.step", perf_counter() - started)
-            round_number += 1
-        self.stats.rounds = round_number
-        return self.stats
-
-    # ------------------------------------------------------------------
-    # event engine: active-set scheduling
-    # ------------------------------------------------------------------
-    def _run_event(self) -> SimulationStats:
-        nodes = self.nodes
-        deferred = self._deferred
-        has_filter = self._has_wake_filter
-        telemetry = self.telemetry
-        profiler = telemetry.profiler if telemetry is not None else None
-        on_tick = None
-        if telemetry is not None and getattr(telemetry, "wants_ticks", False):
-            on_tick = telemetry.on_round_tick
-        faults = self.faults
-        done_count = sum(1 for node in nodes if node.done)
-        round_number = 0
-        while True:
-            if on_tick is not None:
-                on_tick(round_number)
-            if faults is not None:
-                faults.check_stalled(round_number, self)
-                if self._future:
-                    self._mature_futures(round_number)
-            if round_number > self.max_rounds:
-                raise SimulationNotTerminatedError(
-                    round_number,
-                    self.max_rounds,
-                    tuple(n.node_id for n in nodes if not n.done),
-                    self.graph.name,
-                )
-            # Delivery with the wake filter: every arrival lands in the
-            # receiver's accumulation buffer, but only *waking* messages
-            # pull the receiver into this round's active set.
-            in_flight = self._in_flight
-            had_traffic = bool(in_flight)
-            receivers: Set[int] = set()
-            if had_traffic:
-                started = perf_counter() if profiler is not None else 0.0
-                self._in_flight = {}
-                for target, arrivals in in_flight.items():
-                    box = deferred[target]
-                    if box is None:
-                        deferred[target] = arrivals
-                    else:
-                        box.extend(arrivals)
-                    if has_filter[target]:
-                        wakes = nodes[target].message_wakes
-                        for sender, message in arrivals:
-                            if wakes(sender, message):
-                                receivers.add(target)
-                                break
-                    else:
-                        receivers.add(target)
-                if profiler is not None:
-                    profiler.add("engine.deliver", perf_counter() - started)
-            elif (
-                done_count == len(nodes)
-                and round_number > 0
-                and not self._future
-            ):
-                break
-            active = self._active_set(round_number, receivers)
-            if faults is not None and active:
-                # Crashed nodes are filtered *before* their deferred
-                # buffers are consumed (fail-pause preserves them), and
-                # woken again at the first alive round so a finite
-                # crash window resumes by itself.
-                alive: List[int] = []
-                for node_id in active:
-                    if faults.node_crashed(node_id, round_number):
-                        faults.note_crash_skip(node_id, round_number)
-                        crash_end = faults.crash_end_after(
-                            node_id, round_number
-                        )
-                        if crash_end is not None:
-                            self._register_wake(node_id, crash_end)
-                    else:
-                        alive.append(node_id)
-                active = alive
-            if not active:
-                if had_traffic:
-                    # Every arrival this round was passive: the round
-                    # elapses (the messages were on the wire) but no
-                    # node needs stepping.
-                    if profiler is not None:
+        try:
+            while True:
+                if on_tick is not None:
+                    on_tick(round_number)
+                if faults is not None:
+                    faults.check_stalled(round_number, self)
+                    kernel.mature(round_number)
+                if round_number > max_rounds:
+                    raise SimulationNotTerminatedError(
+                        round_number,
+                        max_rounds,
+                        tuple(node.node_id for node in nodes if not node.done),
+                        self.graph.name,
+                    )
+                had_traffic = bool(kernel.in_flight)
+                if (
+                    not had_traffic
+                    and round_number > 0
+                    and not kernel.future
+                    and kernel.done_count == n
+                ):
+                    break
+                stats.start_round()
+                if profiler is None:
+                    stepped = kernel.run_round(round_number)
+                else:
+                    started = perf_counter()
+                    stepped = kernel.run_round(round_number)
+                    profiler.add("engine.step", perf_counter() - started)
+                    profiler.bump("engine.active_node_steps", stepped)
+                    if had_traffic and not stepped:
                         profiler.bump("engine.passive_rounds")
-                    self.stats.start_round()
-                    round_number += 1
+                if edge_load:
+                    stats.observe_round(round_number, edge_load)
+                    if on_round_end is not None:
+                        on_round_end(round_number, edge_load)
+                    edge_load.clear()
+                round_number += 1
+                if stepped or had_traffic or sweep:
                     continue
-                # Idle round(s): nobody receives and nobody asked to be
-                # woken.  By the wake contract no node would change
-                # state, so fast-forward to the next registered wake
-                # (the sweep engine would burn an O(N) no-op pass per
-                # round here).  With no wake pending at all the network
-                # is permanently silent: run the round counter out so
-                # the failure mode matches the sweep engine's.  Delayed
-                # deliveries sitting in the future heap cap the skip the
-                # same way registered wakes do.
-                skip_to = self.max_rounds + 1
-                if self._wake_heap:
-                    skip_to = min(skip_to, self._wake_heap[0][0])
-                if self._future:
-                    skip_to = min(skip_to, self._future[0][0])
+                # Idle round: nobody received and nobody asked to be
+                # woken, so by the wake contract no node changes state
+                # before the next wake, delayed delivery or stall
+                # deadline.  With none pending the counter runs out to
+                # the round limit, as under sweep.
+                skip_to = max_rounds + 1
+                if kernel.wake_heap:
+                    skip_to = min(skip_to, kernel.wake_heap[0][0])
+                if kernel.future:
+                    skip_to = min(skip_to, kernel.future[0][0])
+                if faults is not None:
+                    skip_to = min(
+                        skip_to,
+                        stall_deadline(
+                            faults.plan, faults.last_progress_round, n
+                        ),
+                    )
                 if profiler is not None and skip_to > round_number:
                     profiler.bump(
                         "engine.fast_forwarded_rounds", skip_to - round_number
                     )
                 while round_number < skip_to:
-                    self.stats.start_round()
+                    stats.start_round()
                     round_number += 1
-                continue
-            inboxes: Dict[int, Inbox] = {}
-            for node_id in active:
-                box = deferred[node_id]
-                if box is not None:
-                    inboxes[node_id] = box
-                    deferred[node_id] = None
-            if profiler is None:
-                done_count += self._step(round_number, inboxes, active)
-            else:
-                started = perf_counter()
-                done_count += self._step(round_number, inboxes, active)
-                profiler.add("engine.step", perf_counter() - started)
-                profiler.bump("engine.active_node_steps", len(active))
-            round_number += 1
-        self.stats.rounds = round_number
-        return self.stats
-
-    def _active_set(
-        self, round_number: int, receivers: Set[int]
-    ) -> List[int]:
-        """Node ids to step this round, in ascending (deterministic) order."""
-        if round_number == 0:
-            # Round 0 is special: every node gets on_start + on_round,
-            # exactly as under the sweep engine.
-            return list(range(len(self.nodes)))
-        heap = self._wake_heap
-        if heap and heap[0][0] <= round_number:
-            woken: Set[int] = set()
-            while heap and heap[0][0] <= round_number:
-                _, node_id = heapq.heappop(heap)
-                self._wake_pending[node_id].discard(round_number)
-                woken.add(node_id)
-            woken.update(receivers)
-            return sorted(woken)
-        return sorted(receivers)
-
-    def _register_wake(self, node_id: int, wake_round: int) -> None:
-        pending = self._wake_pending[node_id]
-        if wake_round not in pending:
-            pending.add(wake_round)
-            heapq.heappush(self._wake_heap, (wake_round, node_id))
-
-    # ------------------------------------------------------------------
-    # shared per-round machinery
-    # ------------------------------------------------------------------
-    def _deliver(self) -> Tuple[Dict[int, Inbox], bool]:
-        """Move in-flight messages into per-node inboxes.
-
-        Inboxes are sender-sorted by construction (senders act in id
-        order and channels are FIFO), so no sorting is needed here.
-        """
-        inboxes = self._in_flight
-        self._in_flight = {}
-        return inboxes, bool(inboxes)
-
-    def _all_done(self) -> bool:
-        return all(node.done for node in self.nodes)
-
-    def _mature_futures(self, round_number: int) -> None:
-        """Move delayed deliveries due by ``round_number`` into in-flight.
-
-        Runs before the round's delivery pass in both engines, so a
-        matured message is handed over exactly like a message sent last
-        round (it only arrives later in the inbox list — receivers must
-        not rely on sender-sorted inboxes under an active fault plan).
-        """
-        future = self._future
-        in_flight = self._in_flight
-        while future and future[0][0] <= round_number:
-            _due, _seq, sender, target, message = heapq.heappop(future)
-            bucket = in_flight.get(target)
-            if bucket is None:
-                in_flight[target] = [(sender, message)]
-            else:
-                bucket.append((sender, message))
-
-    def _step(
-        self,
-        round_number: int,
-        inboxes: Dict[int, Inbox],
-        node_ids: Iterable[int],
-    ) -> int:
-        """Run one synchronous round over ``node_ids`` (ascending order).
-
-        Returns the net change in the number of done nodes (consumed by
-        the event engine's incremental termination check).
-        """
-        self.stats.start_round()
-        event = self.engine == "event"
-        edge_load = self._edge_load
-        edge_load_get = edge_load.get
-        wire = self.wire
-        tracer = self.tracer
-        telemetry = self.telemetry
-        on_send = None
-        on_round_end = None
-        if telemetry is not None:
-            if telemetry.wants_sends:
-                on_send = telemetry.on_send
-            on_round_end = telemetry.on_round_end
-        budget = self.bit_budget if self.strict else None
-        frames = self._edge_frames if self.frame_audit else None
-        nodes = self.nodes
-        faults = self.faults
-        in_flight = self._in_flight
-        in_flight_get = in_flight.get
-        inboxes_get = inboxes.get
-        empty_inbox: Inbox = []
-        done_delta = 0
-        for node_id in node_ids:
-            if faults is not None and faults.node_crashed(
-                node_id, round_number
-            ):
-                # Fail-pause: the node is frozen, not stepped.  (The
-                # event engine filters crashed nodes out of the active
-                # set before this loop; this branch is the sweep path.)
-                faults.note_crash_skip(node_id, round_number)
-                continue
-            node = nodes[node_id]
-            was_done = node.done
-            ctx = RoundContext(node_id, round_number, node.neighbors)
-            if round_number == 0:
-                node.on_start(ctx)
-            node.on_round(ctx, inboxes_get(node_id, empty_inbox))
-            for target, message in ctx.drain():
-                bits = message.bit_size(wire)
-                if tracer is not None:
-                    tracer.record(round_number, node_id, target, message, bits)
-                if on_send is not None:
-                    on_send(round_number, node_id, target, message, bits)
-                key = (node_id, target)
-                load = edge_load_get(key)
-                if load is None:
-                    edge_load[key] = [1, bits]
-                    total = bits
-                else:
-                    load[0] += 1
-                    total = load[1] = load[1] + bits
-                if budget is not None and total > budget:
-                    raise CongestViolationError(
-                        round_number, node_id, target, total, budget
-                    )
-                if frames is not None:
-                    frame = frames.get(key)
-                    if frame is None:
-                        frames[key] = [message]
-                    else:
-                        frame.append(message)
-                if faults is None:
-                    bucket = in_flight_get(target)
-                    if bucket is None:
-                        in_flight[target] = [(node_id, message)]
-                    else:
-                        bucket.append((node_id, message))
-                else:
-                    # The send was billed above regardless of fate: the
-                    # sender transmitted; the network decides delivery.
-                    for due, delivered in faults.deliveries(
-                        round_number, node_id, target, message
-                    ):
-                        if due == round_number + 1:
-                            bucket = in_flight_get(target)
-                            if bucket is None:
-                                in_flight[target] = [(node_id, delivered)]
-                            else:
-                                bucket.append((node_id, delivered))
-                        else:
-                            self._future_seq += 1
-                            heapq.heappush(
-                                self._future,
-                                (due, self._future_seq, node_id, target,
-                                 delivered),
-                            )
-            if event:
-                if ctx._wakes is not None:
-                    for wake_round in ctx.drain_wakes():
-                        self._register_wake(node_id, wake_round)
-                if node.done != was_done:
-                    done_delta += 1 if node.done else -1
-        if edge_load:
-            if frames is not None:
-                self._audit_frames(round_number, edge_load, frames)
-                frames.clear()
-            self.stats.observe_round(round_number, edge_load)
-            if on_round_end is not None:
-                on_round_end(round_number, edge_load)
-            edge_load.clear()
-        return done_delta
-
-    def _audit_frames(
-        self,
-        round_number: int,
-        edge_load: Dict[Tuple[int, int], List[int]],
-        frames: Dict[Tuple[int, int], List[Message]],
-    ) -> None:
-        """Materialize each edge's coalesced frame and check its length.
-
-        The accounting charged ``sum(bit_size)`` per edge; the codec
-        guarantees a coalesced frame is exactly that long.  A mismatch
-        means a message lied about its size (or mutated after being
-        enqueued) and the CONGEST budget was enforced on wrong numbers.
-        """
-        wire = self.wire
-        for key, load in edge_load.items():
-            _word, frame_bits = encode_frame(frames[key], wire)
-            if frame_bits != load[1]:
-                sender, receiver = key
-                raise WireCodecError(
-                    "round {}: edge {}->{} charged {} bits but its "
-                    "encoded frame is {} bits".format(
-                        round_number, sender, receiver, load[1], frame_bits
-                    )
-                )
+        finally:
+            if faults is not None:
+                faults.settle_crashes(round_number)
+        stats.rounds = round_number
+        return stats
 
 
 def run_protocol(

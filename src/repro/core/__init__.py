@@ -3,7 +3,7 @@
 from repro.core.aggregation import AggregationPhase
 from repro.core.config import UNIT_BETWEENNESS, UNIT_STRESS, ProtocolConfig
 from repro.core.counting import CountingPhase
-from repro.core.messages import (
+from repro.wire import (
     AggStart,
     AggValue,
     Announce,

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.arithmetic.context import ArithmeticContext
 from repro.congest.node import RoundContext
 from repro.core.config import UNIT_STRESS, ProtocolConfig
-from repro.core.messages import AggStart, AggValue
+from repro.wire import AggStart, AggValue
 from repro.core.records import NodeLedger
 from repro.core.tree import TreePhase
 from repro.exceptions import ProtocolError

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.arithmetic.context import ArithmeticContext
 from repro.congest.node import RoundContext
 from repro.core.config import ProtocolConfig
-from repro.core.messages import AggStart, BfsWave, DfsToken, DoneReport
+from repro.wire import AggStart, BfsWave, DfsToken, DoneReport
 from repro.core.records import NodeLedger
 from repro.core.tree import TreePhase
 from repro.exceptions import ProtocolError

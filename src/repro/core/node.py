@@ -26,7 +26,7 @@ from repro.congest.node import Inbox, NodeAlgorithm, RoundContext
 from repro.core.aggregation import AggregationPhase
 from repro.core.config import ProtocolConfig
 from repro.core.counting import CountingPhase
-from repro.core.messages import PROTOCOL_MESSAGES, AggStart, BfsWave
+from repro.wire import PROTOCOL_MESSAGES, AggStart, BfsWave
 from repro.core.records import NodeLedger
 from repro.core.tree import TreePhase
 from repro.exceptions import ProtocolError

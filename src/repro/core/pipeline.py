@@ -170,11 +170,6 @@ def distributed_betweenness(
     workers: int = 1,
     partitioner: str = "greedy",
     supervision=None,
-    checkpoint_every: int = 0,
-    checkpoint_dir=None,
-    max_restarts: int = 0,
-    heartbeat_timeout: Optional[float] = None,
-    resume_from=None,
 ) -> DistributedBCResult:
     """Compute every node's betweenness with the paper's algorithm.
 
@@ -275,12 +270,8 @@ def distributed_betweenness(
         checkpoints, resume.  Requires ``engine="shard"``.  Supervision
         never changes any output — a recovered or resumed run is
         bit-identical to an uninterrupted one.  See
-        ``docs/recovery.md``.
-    checkpoint_every, checkpoint_dir, max_restarts, heartbeat_timeout,
-    resume_from:
-        Scalar shorthands assembled into a ``SupervisionConfig`` when
-        ``supervision`` is not given (all off by default).  A run
-        paused by ``SupervisionConfig.stop_after`` raises
+        ``docs/recovery.md``.  A run paused by
+        ``SupervisionConfig.stop_after`` raises
         :class:`~repro.exceptions.CheckpointPause`.
 
     Returns
@@ -354,11 +345,6 @@ def distributed_betweenness(
         workers=workers,
         partitioner=partitioner,
         supervision=supervision,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        max_restarts=max_restarts,
-        heartbeat_timeout=heartbeat_timeout,
-        resume_from=resume_from,
     )
     try:
         stats = simulator.run()

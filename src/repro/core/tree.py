@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.congest.node import RoundContext
-from repro.core.messages import Announce, SubtreeCount, TreeJoin, TreeWave
+from repro.wire import Announce, SubtreeCount, TreeJoin, TreeWave
 from repro.exceptions import ProtocolError
 
 

@@ -46,8 +46,9 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.arithmetic.lfloat import LFloat, Rounding
+from repro.congest.kernel import audit_frames
 from repro.core.config import UNIT_STRESS
-from repro.core.messages import (
+from repro.wire import (
     AggStart,
     AggValue,
     Announce,
@@ -1059,8 +1060,9 @@ def _replay(sim, plan: _Plan) -> None:
 
     Used whenever a run needs per-send hooks (tracer, telemetry send or
     round monitors, the full frame audit) or ends exceptionally; follows
-    ``Simulator._step`` line for line — same drain order, same per-edge
-    totals, same raise points, same partial tracer/stats state.
+    the send loop of :class:`~repro.congest.kernel.RoundKernel` line for
+    line — same drain order, same per-edge totals, same raise points,
+    same partial tracer/stats state.
     """
     stats = sim.stats
     wire = sim.wire
@@ -1124,7 +1126,7 @@ def _replay(sim, plan: _Plan) -> None:
             i += 1
         if edge_load:
             if audit:
-                sim._audit_frames(round_number, edge_load, frames)
+                audit_frames(round_number, edge_load, frames, wire)
                 frames.clear()
             stats.observe_round(round_number, edge_load)
             if on_round_end is not None:

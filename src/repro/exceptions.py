@@ -12,7 +12,23 @@ from __future__ import annotations
 
 
 class ReproError(Exception):
-    """Base class for every exception raised by the ``repro`` package."""
+    """Base class for every exception raised by the ``repro`` package.
+
+    Instances pickle with their attributes and message intact, whatever
+    their constructor takes, so a shard worker can ship any of them to
+    the coordinator through its pipe.
+    """
+
+    def __reduce__(self):
+        return _restore_error, (type(self), self.args, self.__dict__)
+
+
+def _restore_error(cls, args, state):
+    """Rebuild a pickled :class:`ReproError` without calling ``__init__``."""
+    error = cls.__new__(cls, *args)
+    error.args = args
+    error.__dict__.update(state)
+    return error
 
 
 class GraphError(ReproError):

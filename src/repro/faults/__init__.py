@@ -19,7 +19,7 @@ Two halves, one package:
 See ``docs/fault-model.md`` for the taxonomy, guarantees and limits.
 """
 
-from repro.faults.injector import FaultInjector, FaultStats
+from repro.faults.injector import FaultInjector, FaultStats, stall_deadline
 from repro.faults.plan import (
     DEFAULT_STALL_PATIENCE,
     CrashWindow,
@@ -52,6 +52,7 @@ __all__ = [
     # injector
     "FaultInjector",
     "FaultStats",
+    "stall_deadline",
     # transport
     "ResilientNode",
     "Envelope",

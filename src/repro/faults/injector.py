@@ -51,6 +51,21 @@ from repro.wire import Message
 _UNIT_SCALE = float(1 << 64)
 
 
+def stall_deadline(plan: FaultPlan, last_progress: int, num_nodes: int) -> int:
+    """The round at which a run with no fresh traffic since
+    ``last_progress`` is declared stalled (if nodes are still pending).
+
+    Patience floors at ``2 N``: the protocol has legitimate
+    scheduled-quiet stretches (the aggregation schedule's gaps and its
+    finish-horizon wait) bounded by O(diameter) < 2N rounds, while
+    recovery churn repeats every <= 16 rounds — so 2N rounds of zero
+    fresh traffic cannot be a healthy run.  Every engine checks against
+    this round and caps its idle fast-forward at it, so all of them
+    stall at the same round.
+    """
+    return last_progress + max(plan.stall_patience, 2 * num_nodes) + 1
+
+
 class FaultStats:
     """Counters for every injected fault (attached to SimulationStats)."""
 
@@ -149,8 +164,6 @@ class FaultInjector:
         self._wire = None
         #: last round that carried fresh (non-recovery) traffic.
         self.last_progress_round = 0
-        #: nodes recorded as crashed at least once (for recovery spans).
-        self._seen_crashed: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def bind(self, simulator) -> None:
@@ -195,24 +208,43 @@ class FaultInjector:
         """Whether ``node_id`` is inside a crash window this round.
 
         Pure query (no counters) — it is consulted once per delivery
-        attempt *and* once per step; :meth:`note_crash_skip` does the
-        once-per-node-per-round accounting.
+        attempt *and* once per step; :meth:`settle_crashes` does the
+        accounting once, at run end.
         """
         windows = self._crash_windows.get(node_id)
         if windows is None:
             return False
         return any(window.covers(round_number) for window in windows)
 
-    def note_crash_skip(self, node_id: int, round_number: int) -> None:
-        """Account one crashed node-round (called by the step loop)."""
-        self.stats.crash_rounds += 1
-        if node_id not in self._seen_crashed:
-            self._seen_crashed[node_id] = round_number
-            for window in self._crash_windows.get(node_id, ()):
-                if window.end is not None:
-                    self.stats.recoveries.append(
-                        (node_id, window.start, window.end)
-                    )
+    def settle_crashes(self, rounds: int) -> None:
+        """Set ``crash_rounds`` and ``recoveries`` for rounds ``[0, rounds)``.
+
+        ``crash_rounds`` counts every (node, round) pair inside a crash
+        window — what a lockstep sweep visiting every node every round
+        skips.  ``recoveries`` lists every finite window of each node
+        that was down at least once, ordered by that node's first crash
+        round, then node id.  Both follow from the plan and the round
+        count alone, so every engine reports the same numbers.
+        """
+        crash_rounds = 0
+        first_down = []
+        for node_id, windows in self._crash_windows.items():
+            counted_to = 0
+            for window in windows:
+                start = max(window.start, counted_to)
+                end = rounds if window.end is None else min(window.end, rounds)
+                if end > start:
+                    if counted_to == 0:
+                        first_down.append((start, node_id))
+                    crash_rounds += end - start
+                    counted_to = end
+        self.stats.crash_rounds = crash_rounds
+        self.stats.recoveries[:] = [
+            (node_id, window.start, window.end)
+            for _first, node_id in sorted(first_down)
+            for window in self._crash_windows[node_id]
+            if window.end is not None
+        ]
 
     def crash_end_after(self, node_id: int, round_number: int) -> Optional[int]:
         """First round >= ``round_number`` at which the node is alive.
@@ -399,16 +431,11 @@ class FaultInjector:
         return getattr(message, "fault_progress", True)
 
     def check_stalled(self, round_number: int, simulator) -> None:
-        """Raise :class:`SimulationStalledError` on a starved run.
-
-        Patience floors at ``2 N``: the protocol has legitimate
-        scheduled-quiet stretches (the aggregation schedule's gaps and
-        its finish-horizon wait) bounded by O(diameter) < 2N rounds,
-        while recovery churn repeats every <= 16 rounds — so 2N rounds
-        of zero fresh traffic cannot be a healthy run.
-        """
-        patience = max(self.plan.stall_patience, 2 * len(simulator.nodes))
-        if round_number - self.last_progress_round <= patience:
+        """Raise :class:`SimulationStalledError` on a starved run (see
+        :func:`stall_deadline`)."""
+        if round_number < stall_deadline(
+            self.plan, self.last_progress_round, len(simulator.nodes)
+        ):
             return
         pending = tuple(
             node.node_id for node in simulator.nodes if not node.done

@@ -9,14 +9,14 @@ required (node factories are closures; forked children inherit the
 pre-built node objects copy-on-write), which the dispatcher's
 ``shard_capability`` probe enforces.
 
-Each worker drives its shard's nodes with a faithful copy of the event
-engine's inner loop (wake heaps, passive-message deferral, crash
-filtering, fault pipeline).  The coordinator replicates the event
-engine's *outer* loop decision for decision — which round to process,
-when to fast-forward idle stretches, when to declare termination,
-stalling, or the round limit — from per-round worker reports, so a
-sharded run is **bit-identical** to ``engine="event"``: same rounds,
-same bits, same messages, same worst edge, same betweenness.
+Each worker drives its shard's nodes with the event engine's
+:class:`~repro.congest.kernel.RoundKernel` (wake policy, cross-shard
+router).  The coordinator replicates the event engine's *outer* loop
+decision for decision — which round to process, when to fast-forward
+idle stretches, when to declare termination, stalling, or the round
+limit — from per-round worker reports, so a sharded run is
+**bit-identical** to ``engine="event"``: same rounds, same bits, same
+messages, same worst edge, same betweenness, same fault counters.
 
 Cross-shard traffic travels as encoded wire frames batched per
 (src shard, dst shard) per round (:mod:`repro.shard.frames`), decoded
@@ -47,15 +47,15 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.congest.node import Inbox, RoundContext
+from repro.congest.kernel import RoundKernel
 from repro.congest.stats import SimulationStats
 from repro.exceptions import (
     CheckpointError,
     CheckpointPause,
-    CongestViolationError,
     SimulationNotTerminatedError,
     SimulationStalledError,
 )
+from repro.faults.injector import stall_deadline
 from repro.shard.checkpoint import (
     corrupt_checkpoint,
     list_checkpoints,
@@ -69,16 +69,89 @@ from repro.shard.partition import edge_cut, partition_nodes
 from repro.shard.supervisor import WorkerFailure, supervision_for
 
 #: FaultStats counters a worker ships (and a checkpoint snapshots).
+#: ``crash_rounds`` and ``recoveries`` are not among them: the
+#: coordinator settles those from the plan at run end.
 _FAULT_COUNTERS = (
     "dropped", "duplicated", "delayed",
     "corrupted_detected", "corrupted_undetected",
-    "crash_dropped", "link_dropped", "crash_rounds",
+    "crash_dropped", "link_dropped",
 )
 
 
 def _unwrap(node):
     """The protocol node behind an optional transport wrapper."""
     return getattr(node, "inner", node)
+
+
+def _outputs(node) -> Tuple[Any, Any, Any]:
+    """A protocol node's (betweenness_raw, diameter, own start time)."""
+    inner = _unwrap(node)
+    agg = getattr(inner, "aggregation", None)
+    return (
+        getattr(agg, "betweenness_raw", None),
+        getattr(agg, "diameter", None),
+        getattr(getattr(inner, "counting", None), "own_start_time", None),
+    )
+
+
+def _patch_outputs(node, diameter, start, done, sent=None, partial=None):
+    """Write a remote node's outputs into its parent-side copy.
+
+    With ``sent`` (a stalled run) the plain ``sent_sources`` and
+    ``partial_betweenness_raw`` methods are shadowed by the remote
+    values; the pipeline's partial collection recomputes the identical
+    complete set from the shadowed ``sent_sources``, so the ignored
+    argument is safe.
+    """
+    inner = _unwrap(node)
+    if sent is not None:
+        inner.sent_sources = (lambda _s=sent: _s)
+        inner.partial_betweenness_raw = (lambda _complete, _v=partial: _v)
+    if hasattr(inner, "aggregation"):
+        inner.aggregation.diameter = diameter
+    if hasattr(inner, "counting"):
+        inner.counting.own_start_time = start
+    node.done = done
+    if inner is not node:
+        inner.done = done
+
+
+def _ledger_words(nodes) -> int:
+    from repro.core.records import ledger_storage_totals
+
+    ledgers = [getattr(_unwrap(node), "ledger", None) for node in nodes]
+    return ledger_storage_totals(
+        [ledger for ledger in ledgers if ledger is not None]
+    )["words"]
+
+
+def _handover(nodes: Dict[int, Any]) -> List[Dict[str, Any]]:
+    """The final state of a lost shard's nodes, ascending by id: ledger
+    rows with a psi value (for a later partial collection), sent
+    sources and outputs."""
+    out = []
+    for v in sorted(nodes):
+        node = nodes[v]
+        inner = _unwrap(node)
+        ledger = getattr(inner, "ledger", None)
+        rows = []
+        if ledger is not None:
+            psi_col = ledger.psi_col
+            rows = [
+                (ledger.source_col[row], ledger.sigma_col[row], psi_col[row])
+                for row in range(len(ledger))
+                if psi_col[row] is not None
+            ]
+        _bc, diameter, start = _outputs(node)
+        out.append({
+            "node": v,
+            "rows": rows,
+            "sent": inner.sent_sources(),
+            "diameter": diameter,
+            "start": start,
+            "done": node.done,
+        })
+    return out
 
 
 def _shard_dead_round(plan, members) -> Optional[int]:
@@ -103,27 +176,17 @@ def _shard_dead_round(plan, members) -> Optional[int]:
 
 
 class _ShardWorker:
-    """One shard's event-engine inner loop (runs in parent or child)."""
+    """One shard's round kernel and its reports (runs in parent or child)."""
 
     def __init__(self, sim, shard_id, assignment, shards, dead_round):
         self.sim = sim
         self.shard_id = shard_id
-        self.assignment = assignment
         self.members = shards[shard_id]
         self.dead_round = dead_round
         self.arith = getattr(_unwrap(sim.nodes[0]), "arith", None)
-        # Local event-engine state.  In the parent this aliases the
-        # simulator's own (unused by the coordinator); in a forked child
-        # it is the inherited copy.
-        self.in_flight: Dict[int, List[Tuple[int, Any]]] = {}
-        self.future: List[Tuple[int, int, int, int, int, Any]] = []
-        self._fseq = 0
-        self.edge_load: Dict[Tuple[int, int], List[int]] = {}
-        self.edge_frames: Dict[Tuple[int, int], List[Any]] = {}
-        # Cross-shard records generated this round, keyed by dst shard.
-        self._outbox: Dict[int, List[Tuple[int, int, int, Any]]] = {}
-        self.cross_messages = 0
-        self.cross_bits = 0
+        self.kernel = RoundKernel(
+            sim, self.members, assignment=assignment, shard_id=shard_id
+        )
         # Supervision plumbing (set by _child_main in forked children).
         self.incarnation = 0
         self.heartbeat = None
@@ -168,141 +231,62 @@ class _ShardWorker:
         if self._hangs or self._slows:
             self._apply_infra_faults(round_number)
         sim = self.sim
-        nodes = sim.nodes
-        deferred = sim._deferred
-        has_filter = sim._has_wake_filter
-        in_flight = self.in_flight
-        self.in_flight = {}
-        # 1. Ingest cross-shard batches.  Fresh records (due == send
-        # round + 1) interleave with local fresh sends sender-sorted —
-        # reproducing the single-process invariant that inboxes are
-        # sender-sorted by construction; future records (delays,
-        # duplicates) join the local future heap keyed so pop order
-        # matches the global engine's (due, global seq) order.
+        kernel = self.kernel
+        # Ingest cross-shard batches.  Fresh records (due == send round
+        # + 1) interleave with local fresh sends sender-sorted — the
+        # single-process invariant that inboxes are sender-sorted by
+        # construction; later records join the kernel's future heap,
+        # whose key pops in global send order.
+        in_flight = kernel.in_flight
         touched: Set[int] = set()
-        for src_shard, send_round, word, bits, opaque in frames:
+        for _src_shard, send_round, word, bits, opaque in frames:
             for sender, receiver, due, message in decode_shard_frame(
                 word, bits, opaque, send_round, sim.wire, self.arith
             ):
-                if due == send_round + 1:
-                    bucket = in_flight.get(receiver)
-                    if bucket is None:
-                        in_flight[receiver] = [(sender, message)]
-                    else:
-                        bucket.append((sender, message))
-                        touched.add(receiver)
+                if due != send_round + 1:
+                    kernel.push(due, send_round, sender, receiver, message)
+                    continue
+                bucket = in_flight.get(receiver)
+                if bucket is None:
+                    in_flight[receiver] = [(sender, message)]
                 else:
-                    self._fseq += 1
-                    heapq.heappush(
-                        self.future,
-                        (due, send_round, sender, self._fseq, receiver,
-                         message),
-                    )
+                    bucket.append((sender, message))
+                    touched.add(receiver)
         by_sender = itemgetter(0)
         for receiver in touched:
             # Stable: per-sender runs are contiguous within one source
             # list and a sender lives in exactly one shard.
             in_flight[receiver].sort(key=by_sender)
-        # 2. Mature local futures due this round (appended after fresh
-        # arrivals, exactly like Simulator._mature_futures).
-        future = self.future
-        while future and future[0][0] <= round_number:
-            _due, _sr, sender, _seq, target, message = heapq.heappop(future)
-            bucket = in_flight.get(target)
-            if bucket is None:
-                in_flight[target] = [(sender, message)]
-            else:
-                bucket.append((sender, message))
-        # 3. Delivery with the wake filter (event-engine semantics).
-        receivers: Set[int] = set()
-        for target, arrivals in in_flight.items():
-            box = deferred[target]
-            if box is None:
-                deferred[target] = arrivals
-            else:
-                box.extend(arrivals)
-            if has_filter[target]:
-                wakes = nodes[target].message_wakes
-                for sender, message in arrivals:
-                    if wakes(sender, message):
-                        receivers.add(target)
-                        break
-            else:
-                receivers.add(target)
-        # 4. Active set (local nodes only — wakes are registered by
-        # local nodes and arrivals are routed here by the coordinator).
-        if round_number == 0:
-            active: List[int] = list(self.members)
-        else:
-            heap = sim._wake_heap
-            if heap and heap[0][0] <= round_number:
-                woken: Set[int] = set()
-                while heap and heap[0][0] <= round_number:
-                    _, node_id = heapq.heappop(heap)
-                    sim._wake_pending[node_id].discard(round_number)
-                    woken.add(node_id)
-                woken.update(receivers)
-                active = sorted(woken)
-            else:
-                active = sorted(receivers)
-        faults = sim.faults
-        if faults is not None and active:
-            alive: List[int] = []
-            for node_id in active:
-                if faults.node_crashed(node_id, round_number):
-                    faults.note_crash_skip(node_id, round_number)
-                    crash_end = faults.crash_end_after(node_id, round_number)
-                    if crash_end is not None:
-                        sim._register_wake(node_id, crash_end)
-                else:
-                    alive.append(node_id)
-            active = alive
-        # 5. Step.
         done_changes: List[Tuple[int, bool]] = []
-        if active:
-            inboxes: Dict[int, Inbox] = {}
-            for node_id in active:
-                box = deferred[node_id]
-                if box is not None:
-                    inboxes[node_id] = box
-                    deferred[node_id] = None
-            self._step(round_number, inboxes, active, done_changes)
-        # 6. Report.
-        edge_load = self.edge_load
+        kernel.done_changes = done_changes
+        kernel.run_round(round_number)
+        edge_load = kernel.edge_load
         edges = [
             (key[0], key[1], load[0], load[1])
             for key, load in edge_load.items()
         ]
-        if edge_load:
-            if sim.frame_audit:
-                sim._audit_frames(round_number, edge_load, self.edge_frames)
-                self.edge_frames.clear()
-            edge_load.clear()
+        edge_load.clear()
         outbox = {}
-        fresh_next = bool(self.in_flight)
-        for dst, records in self._outbox.items():
+        for dst, records in kernel.outbox.items():
             word, bits, opaque = encode_shard_frame(
                 records, round_number, sim.wire
             )
-            has_fresh = False
-            n_future = 0
-            min_due: Optional[int] = None
-            for _s, _r, due, _m in records:
-                if due == round_number + 1:
-                    has_fresh = True
-                else:
-                    n_future += 1
-                    if min_due is None or due < min_due:
-                        min_due = due
-            outbox[dst] = (word, bits, opaque, has_fresh, n_future, min_due)
-        self._outbox = {}
+            later = [
+                due for _s, _r, due, _m in records if due != round_number + 1
+            ]
+            outbox[dst] = (
+                word, bits, opaque, len(later) < len(records), len(later),
+                min(later, default=None),
+            )
+        kernel.outbox = {}
+        faults = sim.faults
         report: Dict[str, Any] = {
             "edges": edges,
             "done_changes": done_changes,
-            "min_wake": sim._wake_heap[0][0] if sim._wake_heap else None,
-            "future_len": len(self.future),
-            "min_future": self.future[0][0] if self.future else None,
-            "fresh_next": fresh_next,
+            "min_wake": kernel.wake_heap[0][0] if kernel.wake_heap else None,
+            "future_len": len(kernel.future),
+            "min_future": kernel.future[0][0] if kernel.future else None,
+            "fresh_next": bool(kernel.in_flight),
             "last_progress": (
                 faults.last_progress_round if faults is not None else 0
             ),
@@ -314,95 +298,10 @@ class _ShardWorker:
         ):
             # Whole-shard kill: every member is permanently crashed from
             # here on.  Ship everything the coordinator needs to stand
-            # in for this shard (residual wakes drive the round/stall
-            # cadence; ledger rows allow a later partial collection)
-            # and let the worker exit.
+            # in for this shard (ledger rows allow a later partial
+            # collection) and let the worker exit.
             report["shard_dead"] = self._death_payload()
         return report
-
-    # ------------------------------------------------------------------
-    def _step(self, round_number, inboxes, node_ids, done_changes) -> None:
-        """One round over ``node_ids`` — Simulator._step adapted to route
-        remote sends into the outbox instead of local in-flight lists."""
-        sim = self.sim
-        edge_load = self.edge_load
-        edge_load_get = edge_load.get
-        wire = sim.wire
-        budget = sim.bit_budget if sim.strict else None
-        frames = self.edge_frames if sim.frame_audit else None
-        nodes = sim.nodes
-        faults = sim.faults
-        in_flight = self.in_flight
-        in_flight_get = in_flight.get
-        inboxes_get = inboxes.get
-        assignment = self.assignment
-        my_shard = self.shard_id
-        outbox = self._outbox
-        empty_inbox: Inbox = []
-        for node_id in node_ids:
-            node = nodes[node_id]
-            was_done = node.done
-            ctx = RoundContext(node_id, round_number, node.neighbors)
-            if round_number == 0:
-                node.on_start(ctx)
-            node.on_round(ctx, inboxes_get(node_id, empty_inbox))
-            for target, message in ctx.drain():
-                bits = message.bit_size(wire)
-                key = (node_id, target)
-                load = edge_load_get(key)
-                if load is None:
-                    edge_load[key] = [1, bits]
-                    total = bits
-                else:
-                    load[0] += 1
-                    total = load[1] = load[1] + bits
-                if budget is not None and total > budget:
-                    raise CongestViolationError(
-                        round_number, node_id, target, total, budget
-                    )
-                if frames is not None:
-                    frame = frames.get(key)
-                    if frame is None:
-                        frames[key] = [message]
-                    else:
-                        frame.append(message)
-                remote = assignment[target] != my_shard
-                if remote:
-                    self.cross_messages += 1
-                    self.cross_bits += bits
-                if faults is None:
-                    outcomes = ((round_number + 1, message),)
-                else:
-                    outcomes = faults.deliveries(
-                        round_number, node_id, target, message
-                    )
-                for due, delivered in outcomes:
-                    if remote:
-                        dst = assignment[target]
-                        records = outbox.get(dst)
-                        entry = (node_id, target, due, delivered)
-                        if records is None:
-                            outbox[dst] = [entry]
-                        else:
-                            records.append(entry)
-                    elif due == round_number + 1:
-                        bucket = in_flight_get(target)
-                        if bucket is None:
-                            in_flight[target] = [(node_id, delivered)]
-                        else:
-                            bucket.append((node_id, delivered))
-                    else:
-                        self._fseq += 1
-                        heapq.heappush(
-                            self.future,
-                            (due, round_number, node_id, self._fseq,
-                             target, delivered),
-                        )
-            if ctx._wakes is not None:
-                for wake_round in ctx.drain_wakes():
-                    sim._register_wake(node_id, wake_round)
-            if node.done != was_done:
-                done_changes.append((node_id, node.done))
 
     # ------------------------------------------------------------------
     # run-end extraction
@@ -416,43 +315,25 @@ class _ShardWorker:
             "counters": {
                 name: getattr(stats, name) for name in _FAULT_COUNTERS
             },
-            "recoveries": list(stats.recoveries),
-            "seen_crashed": dict(faults._seen_crashed),
         }
 
     def _common_reply(self) -> Dict[str, Any]:
-        from repro.core.records import ledger_storage_totals
-
-        ledgers = []
-        for v in self.members:
-            node = _unwrap(self.sim.nodes[v])
-            ledger = getattr(node, "ledger", None)
-            if ledger is not None:
-                ledgers.append(ledger)
         return {
             "faults": self._fault_payload(),
-            "cross_messages": self.cross_messages,
-            "cross_bits": self.cross_bits,
-            "ledger_words": ledger_storage_totals(ledgers)["words"],
+            "cross_messages": self.kernel.cross_messages,
+            "cross_bits": self.kernel.cross_bits,
+            "ledger_words": _ledger_words(
+                self.sim.nodes[v] for v in self.members
+            ),
         }
 
     def finish_reply(self) -> Dict[str, Any]:
         """Per-node protocol outputs for the clean-termination path."""
         reply = self._common_reply()
-        extracts = []
-        for v in self.members:
-            node = self.sim.nodes[v]
-            inner = _unwrap(node)
-            agg = getattr(inner, "aggregation", None)
-            counting = getattr(inner, "counting", None)
-            extracts.append((
-                v,
-                getattr(agg, "betweenness_raw", None),
-                getattr(agg, "diameter", None),
-                getattr(counting, "own_start_time", None),
-                node.done,
-            ))
-        reply["extracts"] = extracts
+        nodes = self.sim.nodes
+        reply["extracts"] = [
+            (v, *_outputs(nodes[v]), nodes[v].done) for v in self.members
+        ]
         return reply
 
     def stall_sent_sources(self) -> Dict[int, frozenset]:
@@ -468,14 +349,13 @@ class _ShardWorker:
         for v in self.members:
             node = self.sim.nodes[v]
             inner = _unwrap(node)
-            agg = getattr(inner, "aggregation", None)
-            counting = getattr(inner, "counting", None)
+            _bc, diameter, start = _outputs(node)
             extracts.append((
                 v,
                 inner.partial_betweenness_raw(complete_set),
                 inner.sent_sources(),
-                getattr(agg, "diameter", None),
-                getattr(counting, "own_start_time", None),
+                diameter,
+                start,
                 node.done,
             ))
         reply["extracts"] = extracts
@@ -483,35 +363,10 @@ class _ShardWorker:
 
     def _death_payload(self) -> Dict[str, Any]:
         """State handover when the whole shard is permanently crashed."""
-        sim = self.sim
-        nodes = []
-        for v in self.members:
-            node = sim.nodes[v]
-            inner = _unwrap(node)
-            agg = getattr(inner, "aggregation", None)
-            counting = getattr(inner, "counting", None)
-            ledger = getattr(inner, "ledger", None)
-            rows = []
-            if ledger is not None:
-                source_col = ledger.source_col
-                sigma_col = ledger.sigma_col
-                psi_col = ledger.psi_col
-                for row in range(len(ledger)):
-                    if psi_col[row] is not None:
-                        rows.append(
-                            (source_col[row], sigma_col[row], psi_col[row])
-                        )
-            nodes.append({
-                "node": v,
-                "rows": rows,
-                "sent": inner.sent_sources(),
-                "diameter": getattr(agg, "diameter", None),
-                "start": getattr(counting, "own_start_time", None),
-                "done": node.done,
-            })
         payload = self._common_reply()
-        payload["nodes"] = nodes
-        payload["residue"] = sorted(sim._wake_heap)
+        payload["nodes"] = _handover(
+            {v: self.sim.nodes[v] for v in self.members}
+        )
         return payload
 
     # ------------------------------------------------------------------
@@ -521,19 +376,12 @@ class _ShardWorker:
         """The injector's replay cursor: counters plus per-edge sequence
         numbers.  Pure state — restoring it replays the exact same
         keyed-hash fault decisions the original run would have made."""
-        faults = self.sim.faults
-        if faults is None:
-            return None
-        stats = faults.stats
-        return {
-            "counters": {
-                name: getattr(stats, name) for name in _FAULT_COUNTERS
-            },
-            "recoveries": list(stats.recoveries),
-            "edge_seq": dict(faults._edge_seq),
-            "seen_crashed": dict(faults._seen_crashed),
-            "last_progress": faults.last_progress_round,
-        }
+        cursor = self._fault_payload()
+        if cursor is not None:
+            faults = self.sim.faults
+            cursor["edge_seq"] = dict(faults._edge_seq)
+            cursor["last_progress"] = faults.last_progress_round
+        return cursor
 
     def snapshot_blob(self) -> bytes:
         """Pickle this shard's complete state at a round barrier.
@@ -546,6 +394,7 @@ class _ShardWorker:
         hold unpicklable streams and are re-attached on restore.
         """
         sim = self.sim
+        kernel = self.kernel
         detached = []
         telemetry_nodes = []
         for v in self.members:
@@ -564,21 +413,21 @@ class _ShardWorker:
                 "shard": self.shard_id,
                 "nodes": {v: sim.nodes[v] for v in self.members},
                 "telemetry_nodes": telemetry_nodes,
-                "in_flight": self.in_flight,
-                "future": list(self.future),
-                "fseq": self._fseq,
-                "cross_messages": self.cross_messages,
-                "cross_bits": self.cross_bits,
+                "in_flight": kernel.in_flight,
+                "future": list(kernel.future),
+                "fseq": kernel.seq,
+                "cross_messages": kernel.cross_messages,
+                "cross_bits": kernel.cross_bits,
                 "deferred": {
-                    v: sim._deferred[v]
+                    v: kernel.deferred[v]
                     for v in self.members
-                    if sim._deferred[v] is not None
+                    if kernel.deferred[v] is not None
                 },
-                "wake_heap": list(sim._wake_heap),
+                "wake_heap": list(kernel.wake_heap),
                 "wake_pending": {
-                    v: set(sim._wake_pending[v])
+                    v: set(kernel.wake_pending[v])
                     for v in self.members
-                    if sim._wake_pending[v]
+                    if kernel.wake_pending[v]
                 },
                 "faults": self._fault_cursor(),
             }
@@ -590,12 +439,10 @@ class _ShardWorker:
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Inverse of :meth:`snapshot_blob` (from the unpickled dict).
 
-        Field *values* are written into the existing shared objects —
-        the simulator's wake/deferred structures are reset wholesale to
-        this shard's snapshot (critical in a re-forked child, which
-        inherits the parent's evolved shard-0 entries), and the fault
-        cursor is written into the inherited injector so shard 0's
-        live counters and a child's copy never mix.
+        Node objects are written into the simulator's shared list, the
+        kernel's round state is reset wholesale to the snapshot, and
+        the fault cursor is written into the inherited injector so
+        shard 0's live counters and a child's copy never mix.
         """
         sim = self.sim
         for v, node in state["nodes"].items():
@@ -604,37 +451,29 @@ class _ShardWorker:
             node = sim.nodes[v]
             obj = node if which == "outer" else _unwrap(node)
             obj.telemetry = sim.telemetry
-        self.in_flight = state["in_flight"]
-        self.future = list(state["future"])
-        self._fseq = state["fseq"]
-        self.cross_messages = state["cross_messages"]
-        self.cross_bits = state["cross_bits"]
-        self.edge_load = {}
-        self.edge_frames = {}
-        self._outbox = {}
-        deferred = sim._deferred
-        for v in range(len(deferred)):
-            deferred[v] = None
+        kernel = RoundKernel(
+            sim, self.members, assignment=self.kernel.assignment,
+            shard_id=self.shard_id,
+        )
+        kernel.in_flight = state["in_flight"]
+        kernel.future = list(state["future"])
+        kernel.seq = state["fseq"]
+        kernel.cross_messages = state["cross_messages"]
+        kernel.cross_bits = state["cross_bits"]
         for v, box in state["deferred"].items():
-            deferred[v] = box
-        sim._wake_heap[:] = state["wake_heap"]
-        for pending in sim._wake_pending:
-            pending.clear()
+            kernel.deferred[v] = box
+        kernel.wake_heap = list(state["wake_heap"])
         for v, pending in state["wake_pending"].items():
-            sim._wake_pending[v] |= pending
+            kernel.wake_pending[v] |= pending
+        self.kernel = kernel
         cursor = state["faults"]
         faults = sim.faults
         if faults is not None and cursor is not None:
             stats = faults.stats
-            for name, value in cursor["counters"].items():
-                setattr(stats, name, value)
-            stats.recoveries[:] = [
-                tuple(entry) for entry in cursor["recoveries"]
-            ]
+            for name in _FAULT_COUNTERS:
+                setattr(stats, name, cursor["counters"][name])
             faults._edge_seq.clear()
             faults._edge_seq.update(cursor["edge_seq"])
-            faults._seen_crashed.clear()
-            faults._seen_crashed.update(cursor["seen_crashed"])
             faults.last_progress_round = cursor["last_progress"]
 
 
@@ -740,8 +579,6 @@ class _Coordinator:
         self.fresh_next = False
         self.last_progress = 0
         # Dead-shard handover state.
-        self.residue: List[Tuple[int, int]] = []  # heap of (round, node)
-        self.dead_seen: Set[int] = set()
         self.dead_payloads: Dict[int, Dict[str, Any]] = {}
         self.merged_fault_payloads: List[Dict[str, Any]] = []
         self.cross_messages = 0
@@ -942,8 +779,6 @@ class _Coordinator:
             "pending_min_due": list(self.pending_min_due),
             "fresh_next": self.fresh_next,
             "last_progress": self.last_progress,
-            "residue": list(self.residue),
-            "dead_seen": set(self.dead_seen),
             "dead_payloads": dict(self.dead_payloads),
             "merged_fault_payloads": list(self.merged_fault_payloads),
             "infra_dead": set(self.infra_dead),
@@ -965,8 +800,6 @@ class _Coordinator:
         self.pending_min_due = list(snap["pending_min_due"])
         self.fresh_next = snap["fresh_next"]
         self.last_progress = snap["last_progress"]
-        self.residue = list(snap["residue"])
-        self.dead_seen = set(snap["dead_seen"])
         self.dead_payloads = dict(snap["dead_payloads"])
         self.merged_fault_payloads = list(snap["merged_fault_payloads"])
         self.infra_dead = set(snap.get("infra_dead", ()))
@@ -1157,50 +990,15 @@ class _Coordinator:
         """A ``_death_payload`` equivalent built from a checkpoint blob —
         the handover when a worker's restart budget is exhausted and its
         shard is abandoned at its last checkpointed state."""
-        from repro.core.records import ledger_storage_totals
-
-        nodes_out = []
-        ledgers = []
-        for v in sorted(state["nodes"]):
-            node = state["nodes"][v]
-            inner = _unwrap(node)
-            agg = getattr(inner, "aggregation", None)
-            counting = getattr(inner, "counting", None)
-            ledger = getattr(inner, "ledger", None)
-            rows = []
-            if ledger is not None:
-                ledgers.append(ledger)
-                source_col = ledger.source_col
-                sigma_col = ledger.sigma_col
-                psi_col = ledger.psi_col
-                for row in range(len(ledger)):
-                    if psi_col[row] is not None:
-                        rows.append(
-                            (source_col[row], sigma_col[row], psi_col[row])
-                        )
-            nodes_out.append({
-                "node": v,
-                "rows": rows,
-                "sent": inner.sent_sources(),
-                "diameter": getattr(agg, "diameter", None),
-                "start": getattr(counting, "own_start_time", None),
-                "done": node.done,
-            })
         cursor = state["faults"]
-        faults_payload = None
-        if cursor is not None:
-            faults_payload = {
-                "counters": dict(cursor["counters"]),
-                "recoveries": list(cursor["recoveries"]),
-                "seen_crashed": dict(cursor["seen_crashed"]),
-            }
         return {
-            "faults": faults_payload,
+            "faults": (
+                None if cursor is None else {"counters": cursor["counters"]}
+            ),
             "cross_messages": state["cross_messages"],
             "cross_bits": state["cross_bits"],
-            "ledger_words": ledger_storage_totals(ledgers)["words"],
-            "nodes": nodes_out,
-            "residue": sorted(state["wake_heap"]),
+            "ledger_words": _ledger_words(state["nodes"].values()),
+            "nodes": _handover(state["nodes"]),
         }
 
     def _recover(self, failure: WorkerFailure) -> int:
@@ -1269,40 +1067,6 @@ class _Coordinator:
         return tuple(v for v in range(self.n) if not self.done[v])
 
     # ------------------------------------------------------------------
-    # dead-shard residue (crash accounting parity with the event engine)
-    # ------------------------------------------------------------------
-    def _pop_residue(self, round_number: int) -> None:
-        residue = self.residue
-        if not residue or residue[0][0] > round_number:
-            return
-        woken: Set[int] = set()
-        while residue and residue[0][0] <= round_number:
-            _, node_id = heapq.heappop(residue)
-            woken.add(node_id)
-        faults = self.sim.faults
-        if faults is None:
-            # Supervision can abandon a shard with no fault plan at all
-            # (externally killed worker, restart budget exhausted); there
-            # is no crash accounting to mirror then.
-            self.dead_seen.update(woken)
-            return
-        stats = faults.stats
-        for node_id in sorted(woken):
-            stats.crash_rounds += 1
-            if node_id not in self.dead_seen:
-                self.dead_seen.add(node_id)
-                faults._seen_crashed.setdefault(node_id, round_number)
-                windows = sorted(
-                    (w for w in self.plan.crashes if w.node == node_id),
-                    key=lambda w: w.start,
-                )
-                for window in windows:
-                    if window.end is not None:
-                        stats.recoveries.append(
-                            (node_id, window.start, window.end)
-                        )
-
-    # ------------------------------------------------------------------
     # report handling
     # ------------------------------------------------------------------
     def _apply_report(self, shard: int, report: Dict[str, Any]) -> None:
@@ -1339,16 +1103,7 @@ class _Coordinator:
     def _mark_dead(self, shard: int, payload: Dict[str, Any]) -> None:
         self.alive[shard] = False
         self.dead_payloads[shard] = payload
-        for entry in payload["residue"]:
-            heapq.heappush(self.residue, tuple(entry))
         self.min_wake[shard] = None
-        if payload["faults"] is not None:
-            # Residue accounting must not re-record a recovery span the
-            # worker already noted before dying: seed the first-seen set
-            # now (counters still merge once, at run end).
-            for node_id, first in payload["faults"]["seen_crashed"].items():
-                self.dead_seen.add(node_id)
-                self.sim.faults._seen_crashed.setdefault(node_id, first)
         self._absorb_common(shard, payload)
 
     def _absorb_common(self, shard: int, payload: Dict[str, Any]) -> None:
@@ -1369,25 +1124,19 @@ class _Coordinator:
         reply["faults"] = None
         self._absorb_common(0, reply)
 
-    def _merge_fault_stats(self) -> None:
+    def _merge_fault_stats(self, round_number: int) -> None:
         faults = self.sim.faults
         if faults is None:
             return
         stats = faults.stats
         for payload in self.merged_fault_payloads:
-            for name, value in payload["counters"].items():
-                setattr(stats, name, getattr(stats, name) + value)
-            stats.recoveries.extend(
-                tuple(entry) for entry in payload["recoveries"]
-            )
-            for node_id, first_round in payload["seen_crashed"].items():
-                self.dead_seen.add(node_id)
-                faults._seen_crashed.setdefault(node_id, first_round)
-        # Multi-process accumulation interleaves shards, so normalize to
-        # a deterministic order (the single-process list is append-
-        # ordered; only its length is surfaced in summaries).
-        stats.recoveries.sort()
+            for name in _FAULT_COUNTERS:
+                setattr(
+                    stats, name,
+                    getattr(stats, name) + payload["counters"][name],
+                )
         self.merged_fault_payloads = []
+        faults.settle_crashes(round_number)
 
     # ------------------------------------------------------------------
     # worker conversation
@@ -1446,33 +1195,12 @@ class _Coordinator:
             inner = _unwrap(node)
             if hasattr(inner, "aggregation"):
                 inner.aggregation.betweenness_raw = bc_raw
-                inner.aggregation.diameter = diameter
-            if hasattr(inner, "counting"):
-                inner.counting.own_start_time = start
-            node.done = done
-            if inner is not node:
-                inner.done = done
+            _patch_outputs(node, diameter, start, done)
 
     def _patch_partial(self, shard: int, extracts) -> None:
         nodes = self.sim.nodes
         for node_id, partial, sent, diameter, start, done in extracts:
-            node = nodes[node_id]
-            inner = _unwrap(node)
-            # Shadow the plain methods with the remote-computed values;
-            # the pipeline's _collect_partial recomputes the identical
-            # complete set from the shadowed sent_sources, so the
-            # ignored argument is safe.
-            inner.sent_sources = (lambda _s=sent: _s)
-            inner.partial_betweenness_raw = (
-                lambda _complete, _v=partial: _v
-            )
-            if hasattr(inner, "aggregation"):
-                inner.aggregation.diameter = diameter
-            if hasattr(inner, "counting"):
-                inner.counting.own_start_time = start
-            node.done = done
-            if inner is not node:
-                inner.done = done
+            _patch_outputs(nodes[node_id], diameter, start, done, sent, partial)
 
     def _patch_dead_partial(self, payload, complete_set) -> None:
         arith = self.arith
@@ -1485,19 +1213,10 @@ class _Coordinator:
                     total = arith.psi_add(
                         total, arith.dependency(psi, sigma)
                     )
-            node = nodes[node_id]
-            inner = _unwrap(node)
-            inner.sent_sources = (lambda _s=entry["sent"]: _s)
-            inner.partial_betweenness_raw = (
-                lambda _complete, _v=total: _v
+            _patch_outputs(
+                nodes[node_id], entry["diameter"], entry["start"],
+                entry["done"], entry["sent"], total,
             )
-            if hasattr(inner, "aggregation"):
-                inner.aggregation.diameter = entry["diameter"]
-            if hasattr(inner, "counting"):
-                inner.counting.own_start_time = entry["start"]
-            node.done = entry["done"]
-            if inner is not node:
-                inner.done = entry["done"]
 
     def _attach_shard_summary(self) -> None:
         self.stats.shard = {
@@ -1549,7 +1268,7 @@ class _Coordinator:
             )
         if self.alive[0]:
             self._absorb_worker0()
-        self._merge_fault_stats()
+        self._merge_fault_stats(round_number)
         self._attach_shard_summary()
         self.stats.rounds = round_number
         return self.stats
@@ -1590,7 +1309,7 @@ class _Coordinator:
             self._patch_dead_partial(payload, complete)
         if self.alive[0]:
             self._absorb_worker0()
-        self._merge_fault_stats()
+        self._merge_fault_stats(round_number)
         self._attach_shard_summary()
         crashed = (
             tuple(sim.faults.crashed_nodes(round_number))
@@ -1646,9 +1365,6 @@ class _Coordinator:
             telemetry.on_round_end if telemetry is not None else None
         )
         faults = sim.faults
-        patience = None
-        if faults is not None:
-            patience = max(faults.plan.stall_patience, 2 * self.n)
         sup = self.supervision
         checkpoint_every = (
             sup.checkpoint_every
@@ -1660,10 +1376,12 @@ class _Coordinator:
         while True:
             if on_tick is not None:
                 on_tick(round_number)
-            if faults is not None and (
-                round_number - self.last_progress > patience
-            ):
-                if self._pending_nodes():
+            deadline = None
+            if faults is not None:
+                deadline = stall_deadline(
+                    faults.plan, self.last_progress, self.n
+                )
+                if round_number >= deadline and self._pending_nodes():
                     self._stall(round_number)
             if round_number > max_rounds:
                 self._abort(round_number)
@@ -1676,16 +1394,10 @@ class _Coordinator:
                     break
                 alive_wake = self._alive_min_wake()
                 if alive_wake is None or alive_wake > round_number:
-                    # Idle at this round for every live shard: account
-                    # residual wakes of dead shards (crash-round parity
-                    # with the in-process engine), then fast-forward.
-                    self._pop_residue(round_number)
+                    # Idle at this round for every live shard:
+                    # fast-forward like the event engine.
                     skip_to = max_rounds + 1
-                    for bound in (
-                        alive_wake,
-                        self.residue[0][0] if self.residue else None,
-                        min_future,
-                    ):
+                    for bound in (alive_wake, min_future):
                         if bound is not None and bound < skip_to:
                             skip_to = bound
                     if skip_to == max_rounds + 1 and self.infra_dead:
@@ -1695,13 +1407,15 @@ class _Coordinator:
                         # the partial-collection path here instead of
                         # fast-forwarding into the round-limit abort.
                         self._stall(round_number)
+                    if deadline is not None and round_number < deadline:
+                        skip_to = min(skip_to, deadline)
                     while round_number < skip_to:
                         stats.start_round()
                         round_number += 1
                     continue
             # Processed round: checkpoint at the barrier (pre-round state,
-            # so a resumed run re-enters the loop right here), then
-            # residue accounting, then the barrier itself.
+            # so a resumed run re-enters the loop right here), then the
+            # barrier itself.
             if (
                 checkpoint_every
                 and round_number > 0
@@ -1709,7 +1423,6 @@ class _Coordinator:
                 and round_number > self._last_ckpt_round
             ):
                 self._write_checkpoint(round_number)
-            self._pop_residue(round_number)
             self.fresh_next = False
             reports = self._collect_round_reports(round_number)
             stats.start_round()

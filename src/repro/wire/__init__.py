@@ -5,8 +5,7 @@ primitives (:mod:`~repro.wire.bits`), the per-network size constants
 (:mod:`~repro.wire.format`), the arithmetic payload codecs
 (:mod:`~repro.wire.values`), the tag registry / frame codec
 (:mod:`~repro.wire.codec`) and the message classes themselves
-(:mod:`~repro.wire.messages`).  The historical ``repro.congest.message``
-and ``repro.core.messages`` modules re-export from here.
+(:mod:`~repro.wire.messages`).
 
 See ``docs/wire-format.md`` for the bit layout of every frame.
 """

@@ -1,9 +1,7 @@
 """The canonical message layer: every message the protocols send.
 
-This module collapses the historical split between the simulator's
-generic messages (``repro.congest.message``) and the betweenness
-protocol's messages (``repro.core.messages``) into one layer; both old
-module paths remain as re-export shims.
+This module holds the simulator's generic messages and the
+betweenness protocol's messages in one layer.
 
 Each message type corresponds to one arrow in the protocol narrative:
 

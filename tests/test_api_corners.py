@@ -12,7 +12,7 @@ from repro.core import (
     distributed_closeness,
     distributed_graph_centrality,
 )
-from repro.core.messages import BfsWave, DfsToken
+from repro.wire import BfsWave, DfsToken
 from repro.graphs import (
     WeightedGraph,
     grid_graph,

@@ -23,11 +23,13 @@ from repro.congest import (
     run_protocol,
 )
 from repro.core import distributed_betweenness
+from repro.faults import CrashWindow, FaultPlan
 from repro.graphs import (
     balanced_tree,
     connected_erdos_renyi_graph,
     cycle_graph,
     figure1_graph,
+    grid_graph,
     path_graph,
 )
 
@@ -97,9 +99,13 @@ def test_engines_identical_through_codec_path(arithmetic):
     reference = _fingerprint(
         distributed_betweenness(graph, arithmetic=arithmetic, engine="sweep")
     )
-    for engine in _engines_for(arithmetic):
+    for engine in _engines_for(arithmetic) + ("shard",):
         audited = distributed_betweenness(
-            graph, arithmetic=arithmetic, engine=engine, frame_audit=True
+            graph,
+            arithmetic=arithmetic,
+            engine=engine,
+            frame_audit=True,
+            workers=2,
         )
         assert _fingerprint(audited) == reference, engine
 
@@ -110,12 +116,79 @@ def test_engines_identical_nonstrict_and_strict(strict):
     runs = [
         _fingerprint(
             distributed_betweenness(
-                graph, arithmetic="lfloat", strict=strict, engine=engine
+                graph,
+                arithmetic="lfloat",
+                strict=strict,
+                engine=engine,
+                workers=2,
             )
         )
-        for engine in _engines_for("lfloat")
+        for engine in _engines_for("lfloat") + ("shard",)
     ]
     assert all(run == runs[0] for run in runs[1:])
+
+
+CRASH_CASES = [
+    (
+        path_graph(8),
+        FaultPlan(
+            seed=3,
+            crashes=(CrashWindow(4, 6, None), CrashWindow(5, 6, None)),
+        ),
+    ),
+    (cycle_graph(10), FaultPlan(seed=1, crashes=(CrashWindow(4, 10, 30),))),
+    (
+        grid_graph(4, 4),
+        FaultPlan(
+            seed=2,
+            crashes=(CrashWindow(5, 8, 20), CrashWindow(10, 12, None)),
+        ),
+    ),
+    (
+        grid_graph(3, 4),
+        FaultPlan(
+            seed=4,
+            crashes=(
+                CrashWindow(5, 8, 20),
+                CrashWindow(5, 15, 30),
+                CrashWindow(6, 3, None),
+            ),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "graph, plan", CRASH_CASES, ids=[g.name for g, _plan in CRASH_CASES]
+)
+def test_engines_identical_under_crashes(graph, plan):
+    """Stalls and crash accounting mean the same on every engine: the
+    stall round, the round count and every fault counter, including
+    ``crash_rounds`` and ``recoveries``."""
+    runs = {}
+    for name, engine, kwargs in (
+        ("sweep", "sweep", {}),
+        ("event", "event", {}),
+        ("shard-2", "shard", {"workers": 2}),
+        ("shard-4-block", "shard", {"workers": 4, "partitioner": "block"}),
+    ):
+        result = distributed_betweenness(
+            graph,
+            arithmetic="lfloat",
+            engine=engine,
+            faults=plan,
+            resilient=True,
+            **kwargs,
+        )
+        runs[name] = (
+            _fingerprint(result),
+            result.rounds,
+            result.completeness.stalled_round,
+            result.stats.faults.as_dict(),
+        )
+    reference = runs.pop("sweep")
+    for name, run in runs.items():
+        assert run == reference, name
 
 
 def test_unknown_engine_rejected():

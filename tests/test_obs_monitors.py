@@ -20,7 +20,7 @@ from repro.arithmetic.context import make_context
 from repro.centrality import brandes_betweenness
 from repro.congest import Message, NodeAlgorithm, Simulator
 from repro.core import distributed_betweenness
-from repro.core.messages import AggValue
+from repro.wire import AggValue
 from repro.exceptions import InvariantViolationError
 from repro.graphs import figure1_graph, karate_club_graph, path_graph
 from repro.obs import (

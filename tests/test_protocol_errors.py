@@ -13,7 +13,7 @@ from repro.arithmetic import ExactContext
 from repro.congest.node import RoundContext
 from repro.core.aggregation import AggregationPhase
 from repro.core.counting import CountingPhase
-from repro.core.messages import (
+from repro.wire import (
     AggStart,
     AggValue,
     Announce,
@@ -178,7 +178,7 @@ class TestLedgerGuards:
             ledger.add(SourceRecord(3, 2, 2, 1, (2,)))
 
     def test_unknown_message_type_rejected_by_node(self):
-        from repro.congest.message import IntMessage
+        from repro.wire import IntMessage
         from repro.core.node import _split_inbox
 
         with pytest.raises(ProtocolError, match="unexpected message"):

@@ -232,8 +232,9 @@ class TestPauseResume:
             engine="shard",
             workers=3,
             protocol=protocol,
-            checkpoint_every=3,
-            checkpoint_dir=str(tmp_path),
+            supervision=SupervisionConfig(
+                checkpoint_every=3, checkpoint_dir=str(tmp_path)
+            ),
         )
         assert _fingerprint(supervised) == reference
         assert supervised.stats.supervisor["checkpoints_written"] > 0
@@ -245,7 +246,7 @@ class TestPauseResume:
             engine="shard",
             workers=3,
             protocol=protocol,
-            resume_from=str(ckpt),
+            supervision=SupervisionConfig(resume_from=str(ckpt)),
         )
         assert _fingerprint(resumed) == reference
         assert resumed.stats.supervisor["resumed_from"] == read_manifest(
@@ -275,7 +276,9 @@ class TestPauseResume:
             graph,
             engine="shard",
             workers=3,
-            resume_from=str(pause.checkpoint_path),
+            supervision=SupervisionConfig(
+                resume_from=str(pause.checkpoint_path)
+            ),
         )
         assert _fingerprint(resumed) == reference
 
@@ -305,8 +308,9 @@ class TestPauseResume:
             protocol=protocol,
             faults=plan,
             resilient=True,
-            checkpoint_every=4,
-            checkpoint_dir=str(tmp_path),
+            supervision=SupervisionConfig(
+                checkpoint_every=4, checkpoint_dir=str(tmp_path)
+            ),
         )
         assert _fingerprint(supervised) == reference
         resumed = distributed_betweenness(
@@ -316,7 +320,9 @@ class TestPauseResume:
             protocol=protocol,
             faults=plan,
             resilient=True,
-            resume_from=str(resolve_checkpoint(tmp_path)),
+            supervision=SupervisionConfig(
+                resume_from=str(resolve_checkpoint(tmp_path))
+            ),
         )
         assert _fingerprint(resumed) == reference
 
@@ -334,14 +340,14 @@ class TestPauseResume:
                 path_graph(12),  # different graph entirely
                 engine="shard",
                 workers=3,
-                resume_from=str(ckpt),
+                supervision=SupervisionConfig(resume_from=str(ckpt)),
             )
         with pytest.raises(CheckpointError, match="different run"):
             distributed_betweenness(
                 graph,
                 engine="shard",
                 workers=4,  # different worker count
-                resume_from=str(ckpt),
+                supervision=SupervisionConfig(resume_from=str(ckpt)),
             )
 
 
@@ -555,14 +561,17 @@ class TestHistoryFields:
             graph,
             engine="shard",
             workers=3,
-            checkpoint_every=4,
-            checkpoint_dir=str(tmp_path),
+            supervision=SupervisionConfig(
+                checkpoint_every=4, checkpoint_dir=str(tmp_path)
+            ),
         )
         resumed = distributed_betweenness(
             graph,
             engine="shard",
             workers=3,
-            resume_from=str(resolve_checkpoint(tmp_path)),
+            supervision=SupervisionConfig(
+                resume_from=str(resolve_checkpoint(tmp_path))
+            ),
         )
         entry_sup = entry_from_result(supervised, graph, git_rev="t")
         entry_res = entry_from_result(resumed, graph, git_rev="t")

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis import ExperimentRunner
 from repro.congest import Tracer
 from repro.core import distributed_betweenness
-from repro.core.messages import AggValue, BfsWave, DfsToken
+from repro.wire import AggValue, BfsWave, DfsToken
 from repro.graphs import cycle_graph, path_graph
 from repro.lowerbound import (
     ExchangeEverythingDisjointness,
