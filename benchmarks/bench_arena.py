@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.analysis import print_table
 from repro.arithmetic import max_relative_error, theorem1_bound
 from repro.centrality import brandes_betweenness
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.graphs import cycle_graph, grid_graph, path_graph
 from repro.protocols import protocol_names
@@ -84,7 +85,7 @@ def measure_arena(
                     result = distributed_betweenness(
                         graph,
                         arithmetic="lfloat",
-                        engine=engine,
+                        options=RunOptions(engine=engine),
                         protocol=protocol,
                     )
                     elapsed = time.perf_counter() - start

@@ -10,6 +10,7 @@ leaves.
 
 
 from repro.analysis import print_table
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.exceptions import CongestViolationError
 from repro.graphs import (
@@ -36,7 +37,9 @@ def minimum_factor(graph, lo=1, hi=64):
     def passes(factor):
         try:
             distributed_betweenness(
-                graph, arithmetic="lfloat", congest_factor=factor
+                graph,
+                arithmetic="lfloat",
+                options=RunOptions(congest_factor=factor),
             )
             return True
         except CongestViolationError:
@@ -58,7 +61,9 @@ def test_minimum_budget_factors(benchmark):
         for graph in GRAPHS:
             factor = minimum_factor(graph)
             run = distributed_betweenness(
-                graph, arithmetic="lfloat", congest_factor=factor
+                graph,
+                arithmetic="lfloat",
+                options=RunOptions(congest_factor=factor),
             )
             rows.append(
                 (

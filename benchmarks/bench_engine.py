@@ -35,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import print_table
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.graphs import cycle_graph, path_graph
 from repro.obs import Telemetry
@@ -90,7 +91,9 @@ def measure(sizes=SIZES, families=None, reps=REPS, engines=ENGINES):
                 for engine in engines:
                     start = time.perf_counter()
                     result = distributed_betweenness(
-                        graph, arithmetic="lfloat", engine=engine
+                        graph,
+                        arithmetic="lfloat",
+                        options=RunOptions(engine=engine),
                     )
                     elapsed = time.perf_counter() - start
                     if engine not in best or elapsed < best[engine]:
@@ -98,7 +101,10 @@ def measure(sizes=SIZES, families=None, reps=REPS, engines=ENGINES):
                     outputs[engine] = _fingerprint(result)
             telemetry = Telemetry()
             distributed_betweenness(
-                graph, arithmetic="lfloat", engine="event", telemetry=telemetry
+                graph,
+                arithmetic="lfloat",
+                options=RunOptions(engine="event"),
+                telemetry=telemetry,
             )
             reference = outputs[engines[0]]
             reference_summary = reference[4]

@@ -27,6 +27,7 @@ import time
 from pathlib import Path
 
 from repro.analysis import print_table
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.faults import FaultPlan
 from repro.graphs import connected_erdos_renyi_graph, cycle_graph
@@ -59,7 +60,10 @@ def measure_disabled_overhead(n=150, reps=REPS):
             kwargs = {} if variant == "bare" else {"faults": None}
             start = time.perf_counter()
             result = distributed_betweenness(
-                graph, arithmetic="lfloat", engine="event", **kwargs
+                graph,
+                arithmetic="lfloat",
+                options=RunOptions(engine="event"),
+                **kwargs,
             )
             elapsed = time.perf_counter() - start
             best[variant] = min(best[variant], elapsed)
@@ -78,7 +82,10 @@ def measure_recovery_overhead(drop_rates=DROP_RATES, seed=7):
     """Round overhead of exact recovery as a function of the drop rate."""
     graph = connected_erdos_renyi_graph(16, 0.25, seed=2)
     reference = distributed_betweenness(
-        graph, arithmetic="exact", engine="event", resilient=True
+        graph,
+        arithmetic="exact",
+        options=RunOptions(engine="event"),
+        resilient=True,
     )
     rows = []
     for rate in drop_rates:
@@ -87,7 +94,7 @@ def measure_recovery_overhead(drop_rates=DROP_RATES, seed=7):
         result = distributed_betweenness(
             graph,
             arithmetic="exact",
-            engine="event",
+            options=RunOptions(engine="event"),
             faults=plan,
             resilient=True,
         )

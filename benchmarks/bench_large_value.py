@@ -9,6 +9,7 @@ budget and still produce accurate values.
 
 from repro.analysis import print_table
 from repro.centrality import brandes_betweenness
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.exceptions import CongestViolationError
 from repro.graphs import diamond_chain_graph, max_shortest_path_count
@@ -22,7 +23,9 @@ FACTOR = 12
 def run_exact_until_violation():
     try:
         distributed_betweenness(
-            CHAIN, arithmetic="exact", congest_factor=FACTOR
+            CHAIN,
+            arithmetic="exact",
+            options=RunOptions(congest_factor=FACTOR),
         )
     except CongestViolationError as err:
         return err
@@ -55,7 +58,7 @@ def test_lfloat_same_budget_same_graph(benchmark):
         distributed_betweenness,
         CHAIN,
         arithmetic="lfloat-8",
-        congest_factor=FACTOR,
+        options=RunOptions(congest_factor=FACTOR),
     )
     reference = brandes_betweenness(CHAIN, exact=True)
 

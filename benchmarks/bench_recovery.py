@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 
 from repro.analysis import print_table
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.faults import FaultPlan, WorkerHang
 from repro.graphs import cycle_graph, grid_graph, path_graph
@@ -67,13 +68,16 @@ def _fingerprint(result):
     )
 
 
-def _run(graph, protocol="hua-bc", **kwargs):
+def _run(graph, protocol="hua-bc", supervision=None, **kwargs):
     return distributed_betweenness(
         graph,
         arithmetic="lfloat",
-        engine="shard",
-        workers=WORKERS,
-        partitioner=PARTITIONER,
+        options=RunOptions(
+            engine="shard",
+            workers=WORKERS,
+            partitioner=PARTITIONER,
+            supervision=supervision,
+        ),
         protocol=protocol,
         **kwargs,
     )

@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 
 from repro.analysis import print_table
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.graphs import cycle_graph, grid_graph, path_graph
 
@@ -90,7 +91,9 @@ def measure(sizes=SIZES, families=None, worker_counts=WORKER_COUNTS,
                     continue
                 start = time.perf_counter()
                 reference = distributed_betweenness(
-                    graph, arithmetic="lfloat", engine="event",
+                    graph,
+                    arithmetic="lfloat",
+                    options=RunOptions(engine="event"),
                     protocol=protocol,
                 )
                 event_seconds = time.perf_counter() - start
@@ -101,9 +104,11 @@ def measure(sizes=SIZES, families=None, worker_counts=WORKER_COUNTS,
                     sharded = distributed_betweenness(
                         graph,
                         arithmetic="lfloat",
-                        engine="shard",
-                        workers=workers,
-                        partitioner=PARTITIONER,
+                        options=RunOptions(
+                            engine="shard",
+                            workers=workers,
+                            partitioner=PARTITIONER,
+                        ),
                         protocol=protocol,
                     )
                     shard_seconds = time.perf_counter() - start
@@ -147,8 +152,13 @@ def measure_memory_split(n=MEMORY_N, workers=4):
     graph = path_graph(n)
     start = time.perf_counter()
     result = distributed_betweenness(
-        graph, arithmetic="lfloat", engine="shard", workers=workers,
-        partitioner=PARTITIONER,
+        graph,
+        arithmetic="lfloat",
+        options=RunOptions(
+            engine="shard",
+            workers=workers,
+            partitioner=PARTITIONER,
+        ),
     )
     elapsed = time.perf_counter() - start
     shard = result.stats.shard

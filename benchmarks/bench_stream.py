@@ -24,6 +24,7 @@ import time
 from pathlib import Path
 
 from repro.analysis import print_table
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.graphs import cycle_graph
 from repro.obs import Telemetry
@@ -64,7 +65,10 @@ def measure(n=N, reps=REPS, tmp_dir=None):
     rows_written = 0
     for _ in range(max(1, reps)):
         start = time.perf_counter()
-        result = distributed_betweenness(graph, engine="bulk")
+        result = distributed_betweenness(
+            graph,
+            options=RunOptions(engine="bulk"),
+        )
         elapsed = time.perf_counter() - start
         best_off = elapsed if best_off is None else min(best_off, elapsed)
         fingerprint_off = _fingerprint(result)
@@ -74,7 +78,9 @@ def measure(n=N, reps=REPS, tmp_dir=None):
         )
         start = time.perf_counter()
         result = distributed_betweenness(
-            graph, engine="bulk", telemetry=telemetry
+            graph,
+            options=RunOptions(engine="bulk"),
+            telemetry=telemetry,
         )
         elapsed = time.perf_counter() - start
         telemetry.bus.close()

@@ -32,6 +32,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro import (  # noqa: E402
     CrashWindow,
     FaultPlan,
+    RunOptions,
     distributed_betweenness,
 )
 from repro.graphs import connected_erdos_renyi_graph, figure1_graph  # noqa: E402
@@ -104,7 +105,7 @@ def main() -> int:
                 result = distributed_betweenness(
                     graph,
                     arithmetic="exact",
-                    engine=engine,
+                    options=RunOptions(engine=engine),
                     faults=plan,
                     resilient=True,
                 )
@@ -137,8 +138,7 @@ def main() -> int:
         partial = distributed_betweenness(
             fig,
             arithmetic="exact",
-            engine=engine,
-            workers=workers,
+            options=RunOptions(engine=engine, workers=workers),
             faults=FaultPlan(seed=1, crashes=(CrashWindow(3, 40, None),)),
             resilient=True,
         )

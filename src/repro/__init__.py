@@ -44,7 +44,7 @@ from repro.centrality import (
     sampled_betweenness,
     stress_centrality,
 )
-from repro.congest import Simulator, run_protocol
+from repro.congest import RunOptions, Simulator, run_protocol
 from repro.core import (
     CompletenessReport,
     DistributedAPSPResult,
@@ -106,6 +106,7 @@ __all__ = [
     "ProtocolError",
     "ReproError",
     "Rounding",
+    "RunOptions",
     "Simulator",
     "__version__",
     "brandes_betweenness",

@@ -17,11 +17,12 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.complexity import LinearFit, linear_fit
 from repro.analysis.tables import render_table
+from repro.congest.options import RunOptions
 from repro.core.pipeline import distributed_betweenness
 from repro.graphs.graph import Graph
 
@@ -78,13 +79,11 @@ class ExperimentRunner:
         Override the runner itself (default:
         :func:`repro.core.distributed_betweenness`); must return an
         object with the ``rounds``/``diameter``/``stats`` interface.
-    engine:
-        Simulator engine passed to every run (``"event"`` by default,
-        matching :func:`repro.core.distributed_betweenness`).
-    workers, partitioner:
-        Shard-runtime knobs forwarded to every run (meaningful with
-        ``engine="shard"`` only).  See :func:`run_many` for how the
-        pool interacts with sharded runs.
+    options:
+        :class:`~repro.congest.options.RunOptions` passed to every run
+        (``engine="auto"`` by default, matching
+        :func:`repro.core.distributed_betweenness`).  See
+        :func:`run_many` for how the pool interacts with sharded runs.
     protocol:
         Registered protocol name passed to every run (None means the
         registry default, ``hua-bc``).  Kept as a name rather than a
@@ -101,16 +100,12 @@ class ExperimentRunner:
         arithmetic: str = "lfloat",
         metrics: Optional[Dict[str, Callable]] = None,
         run: Optional[Callable] = None,
-        engine: str = "auto",
+        options: RunOptions = RunOptions(),
         collect_phases: bool = False,
         protocol: Optional[str] = None,
-        workers: int = 1,
-        partitioner: str = "greedy",
     ):
         self.arithmetic = arithmetic
-        self.engine = engine
-        self.workers = workers
-        self.partitioner = partitioner
+        self.options = options
         self.protocol = protocol
         self.metrics = metrics or {}
         self.collect_phases = collect_phases
@@ -124,9 +119,7 @@ class ExperimentRunner:
             lambda graph, telemetry=None: distributed_betweenness(
                 graph,
                 arithmetic=self.arithmetic,
-                engine=self.engine,
-                workers=self.workers,
-                partitioner=self.partitioner,
+                options=self.options,
                 telemetry=telemetry,
                 protocol=self.protocol,
             )
@@ -188,13 +181,11 @@ class ExperimentRunner:
             graphs,
             family=family,
             arithmetic=self.arithmetic,
-            engine=self.engine,
+            options=self.options,
             processes=processes,
             collect_phases=self.collect_phases,
             stream_dir=stream_dir,
             protocol=self.protocol,
-            workers=self.workers,
-            partitioner=self.partitioner,
         )
         self.records.extend(out)
         return out
@@ -276,9 +267,7 @@ def default_max_workers() -> int:
     return os.cpu_count() or 1
 
 
-_Task = Tuple[
-    str, Graph, str, str, bool, Optional[str], Optional[str], int, str
-]
+_Task = Tuple[str, Graph, str, RunOptions, bool, Optional[str], Optional[str]]
 
 
 def _run_one(task: _Task) -> RunRecord:
@@ -289,8 +278,8 @@ def _run_one(task: _Task) -> RunRecord:
     protocol travels as its registry name (descriptors hold closures).
     """
     (
-        family, graph, arithmetic, engine, collect_phases, stream_path,
-        protocol, workers, partitioner,
+        family, graph, arithmetic, options, collect_phases, stream_path,
+        protocol,
     ) = task
     if stream_path is not None:
         from repro.obs import Telemetry
@@ -308,9 +297,7 @@ def _run_one(task: _Task) -> RunRecord:
     result = distributed_betweenness(
         graph,
         arithmetic=arithmetic,
-        engine=engine,
-        workers=workers,
-        partitioner=partitioner,
+        options=options,
         telemetry=telemetry,
         protocol=protocol,
     )
@@ -336,13 +323,11 @@ def run_many(
     graphs: Iterable[Graph],
     family: str = "batch",
     arithmetic: str = "lfloat",
-    engine: str = "auto",
+    options: RunOptions = RunOptions(),
     processes: Optional[int] = None,
     collect_phases: bool = False,
     stream_dir: Optional[PathLike] = None,
     protocol: Optional[str] = None,
-    workers: int = 1,
-    partitioner: str = "greedy",
 ) -> List[RunRecord]:
     """Run the protocol on every graph, fanning out across processes.
 
@@ -358,8 +343,14 @@ def run_many(
         :class:`~repro.graphs.graph.Graph` is).
     family:
         Label stamped on every record.
-    arithmetic, engine:
-        Passed to :func:`repro.core.distributed_betweenness`.
+    arithmetic, options:
+        Passed to :func:`repro.core.distributed_betweenness`.  The grid
+        pool and the shard runtime both spawn processes, so combining
+        them would oversubscribe the machine W-fold: when the pool
+        actually fans out, sharded runs are forced back to
+        ``workers=1`` (with a warning) — one process per run,
+        parallelism across the grid.  A serial grid
+        (``processes <= 1``) keeps the requested worker count.
     processes:
         Worker count; defaults to :func:`default_max_workers`
         (``os.cpu_count()``) capped at the number of graphs.
@@ -377,14 +368,6 @@ def run_many(
     protocol:
         Registered protocol name for every run (None → registry
         default).  A string, not a descriptor, so tasks stay picklable.
-    workers, partitioner:
-        Shard-runtime knobs forwarded to every run (meaningful with
-        ``engine="shard"`` only).  The grid pool and the shard runtime
-        both spawn processes, so combining them would oversubscribe
-        the machine W-fold: when the pool actually fans out, sharded
-        runs are forced back to ``workers=1`` (with a warning) — one
-        process per run, parallelism across the grid.  A serial grid
-        (``processes <= 1``) keeps the requested worker count.
     """
     if stream_dir is not None:
         os.makedirs(stream_dir, exist_ok=True)
@@ -394,24 +377,24 @@ def run_many(
     if processes is None:
         processes = default_max_workers()
     processes = min(processes, len(graphs))
-    if engine == "shard" and workers != 1 and processes > 1:
+    if options.engine == "shard" and options.workers != 1 and processes > 1:
         import warnings
 
         warnings.warn(
             "run_many: engine='shard' with workers={} inside a {}-process "
             "pool would oversubscribe the machine; forcing workers=1 "
             "(run serially with processes=1 to keep the shard "
-            "fan-out)".format(workers, processes),
+            "fan-out)".format(options.workers, processes),
             RuntimeWarning,
             stacklevel=2,
         )
-        workers = 1
+        options = replace(options, workers=1)
     tasks = [
         (
             family,
             graph,
             arithmetic,
-            engine,
+            options,
             collect_phases,
             (
                 os.path.join(
@@ -424,8 +407,6 @@ def run_many(
                 else None
             ),
             protocol,
-            workers,
-            partitioner,
         )
         for index, graph in enumerate(graphs)
     ]

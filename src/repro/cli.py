@@ -34,10 +34,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.analysis import print_table
 from repro.centrality import brandes_betweenness
+from repro.congest.options import ENGINES, PARTITIONERS, RunOptions
 from repro.core import (
     bfs_start_times,
     distributed_apsp,
@@ -153,8 +155,8 @@ def _add_protocol_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=("auto", "bulk", "event", "sweep", "shard"),
-        default="auto",
+        choices=ENGINES,
+        default=RunOptions.engine,
         help="simulator engine: auto (default) picks the fastest capable "
         "backend — the vectorized numpy bulk engine when available, else "
         "event-driven active-node scheduling; sweep is the lockstep "
@@ -164,14 +166,14 @@ def _add_protocol_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=_positive_int,
-        default=1,
+        default=RunOptions.workers,
         help="worker processes for --engine shard (default 1; ignored "
         "by the single-process engines)",
     )
     parser.add_argument(
         "--partitioner",
-        choices=("block", "greedy"),
-        default="greedy",
+        choices=PARTITIONERS,
+        default=RunOptions.partitioner,
         help="node partitioner for --engine shard: greedy (default) "
         "grows shards along BFS frontiers to cut fewer edges; block "
         "slices node ids into contiguous ranges",
@@ -244,51 +246,99 @@ def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _supervision_from_args(args: argparse.Namespace, plan=None):
-    """A SupervisionConfig from CLI flags, or None when all are off.
+def _supervision_flags(args: argparse.Namespace) -> List[str]:
+    """The supervision flags given on the command line (empty if none)."""
+    given = [
+        name
+        for name in ("checkpoint_every", "checkpoint_dir", "max_restarts")
+        if getattr(args, name, None)
+    ]
+    given.extend(
+        name
+        for name in ("heartbeat_timeout", "checkpoint_stop_after")
+        if getattr(args, name, None) is not None
+    )
+    return ["--" + name.replace("_", "-") for name in given]
 
-    The returned config carries the command-line recipe in its manifest
-    metadata so ``repro resume`` can rebuild the graph, protocol and
-    fault plan without re-asking.
+
+def _run_options(args: argparse.Namespace, plan=None) -> RunOptions:
+    """The one :class:`RunOptions` of a protocol command, from its flags.
+
+    Supervision flags add a SupervisionConfig whose manifest metadata
+    carries the command-line recipe (see :func:`_recipe`), so ``repro
+    resume`` can rebuild the graph, protocol and fault plan without
+    re-asking.
     """
-    every = getattr(args, "checkpoint_every", 0) or 0
-    ckpt_dir = getattr(args, "checkpoint_dir", None)
-    restarts = getattr(args, "max_restarts", 0) or 0
-    timeout = getattr(args, "heartbeat_timeout", None)
-    stop_after = getattr(args, "checkpoint_stop_after", None)
-    if not (
-        every or ckpt_dir or restarts or timeout is not None
-        or stop_after is not None
-    ):
-        return None
-    from repro.shard.supervisor import (
-        DEFAULT_HEARTBEAT_TIMEOUT,
-        SupervisionConfig,
+    options = RunOptions(
+        engine=args.engine,
+        workers=args.workers,
+        partitioner=args.partitioner,
+        strict=not args.lenient,
+        frame_audit=args.frame_audit,
+    )
+    if not _supervision_flags(args):
+        return options
+    recipe = _recipe(args, options, plan)
+    return replace(
+        options,
+        supervision=_supervision(
+            args,
+            checkpoint_every=recipe["checkpoint_every"],
+            checkpoint_dir=recipe["checkpoint_dir"],
+            stop_after=args.checkpoint_stop_after,
+            meta={"cli": recipe},
+        ),
     )
 
-    recipe = {
-        "graph": getattr(args, "graph", None),
-        "file": str(args.file) if getattr(args, "file", None) else None,
-        "protocol": getattr(args, "protocol", None),
-        "arithmetic": getattr(args, "arithmetic", None),
-        "root": getattr(args, "root", 0),
-        "lenient": bool(getattr(args, "lenient", False)),
-        "workers": getattr(args, "workers", 1),
-        "partitioner": getattr(args, "partitioner", "greedy"),
+
+def _supervision(args: argparse.Namespace, **fields):
+    """A SupervisionConfig from the watchdog flags plus ``fields``."""
+    from repro.shard.supervisor import SupervisionConfig
+
+    if args.heartbeat_timeout is not None:
+        fields["heartbeat_timeout"] = args.heartbeat_timeout
+    return SupervisionConfig(max_restarts=args.max_restarts, **fields)
+
+
+def _recipe(args: argparse.Namespace, options: RunOptions, plan=None):
+    """The resume recipe of a supervised run; read back by
+    :func:`_options_from_recipe`."""
+    return {
+        "graph": args.graph,
+        "file": str(args.file) if args.file else None,
+        "protocol": args.protocol,
+        "arithmetic": args.arithmetic,
+        "root": args.root,
+        "lenient": not options.strict,
+        "workers": options.workers,
+        "partitioner": options.partitioner,
         "resilient": not getattr(args, "raw", True),
-        "checkpoint_every": every,
-        "checkpoint_dir": ckpt_dir,
+        "checkpoint_every": args.checkpoint_every or 0,
+        "checkpoint_dir": args.checkpoint_dir,
         "plan": plan.to_dict() if plan is not None else None,
     }
-    return SupervisionConfig(
-        heartbeat_timeout=(
-            timeout if timeout is not None else DEFAULT_HEARTBEAT_TIMEOUT
+
+
+def _options_from_recipe(recipe, ckpt, args: argparse.Namespace) -> RunOptions:
+    """The :class:`RunOptions` resuming snapshot ``ckpt`` (see :func:`_recipe`).
+
+    The resumed run keeps writing into the same run directory (derived
+    from the snapshot's real location, not the possibly-relative recipe
+    path), so it stays checkpointed and restartable.
+    """
+    every = recipe.get("checkpoint_every", 0) or 0
+    return RunOptions(
+        engine="shard",
+        workers=recipe.get("workers", RunOptions.workers),
+        partitioner=recipe.get("partitioner", RunOptions.partitioner),
+        strict=not recipe.get("lenient", False),
+        supervision=_supervision(
+            args,
+            checkpoint_every=every,
+            checkpoint_dir=str(ckpt.parent.parent) if every else None,
+            resume_from=str(ckpt),
+            meta={"cli": recipe},
         ),
-        max_restarts=restarts,
-        checkpoint_every=every,
-        checkpoint_dir=ckpt_dir,
-        stop_after=stop_after,
-        meta={"cli": recipe},
     )
 
 
@@ -316,15 +366,28 @@ def cmd_bc(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
     from repro.graphs.weighted import WeightedGraph
 
-    if isinstance(graph, WeightedGraph):
+    weighted = isinstance(graph, WeightedGraph)
+    if weighted:
         if getattr(args, "protocol", None) not in (None, "hua-bc"):
             raise SystemExit(
                 "--protocol {} is not available for weighted graphs "
                 "(the subdivision pipeline drives the stock protocol "
                 "directly)".format(args.protocol)
             )
-        return _cmd_bc_weighted(args, graph)
+        flags = _supervision_flags(args)
+        if flags:
+            raise SystemExit(
+                "{} not available for weighted graphs (repro resume "
+                "rebuilds the unweighted pipeline only, so the run "
+                "could never be resumed)".format(", ".join(flags))
+            )
+    options = _run_options(args)
     telemetry = _streaming_telemetry(args)
+    if weighted:
+        code = _cmd_bc_weighted(args, graph, options, telemetry)
+        if telemetry is not None and telemetry.bus is not None:
+            telemetry.bus.close()
+        return code
     from repro.exceptions import CheckpointPause
 
     try:
@@ -332,14 +395,9 @@ def cmd_bc(args: argparse.Namespace) -> int:
             graph,
             arithmetic=args.arithmetic,
             root=args.root,
-            strict=not args.lenient,
-            engine=args.engine,
-            workers=args.workers,
-            partitioner=args.partitioner,
-            frame_audit=args.frame_audit,
+            options=options,
             telemetry=telemetry,
             protocol=args.protocol,
-            supervision=_supervision_from_args(args),
         )
     except CheckpointPause as pause:
         print(
@@ -375,7 +433,9 @@ def cmd_bc(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bc_weighted(args: argparse.Namespace, graph) -> int:
+def _cmd_bc_weighted(
+    args: argparse.Namespace, graph, options: RunOptions, telemetry
+) -> int:
     from repro.centrality import weighted_brandes_betweenness
     from repro.core import distributed_weighted_betweenness
 
@@ -383,11 +443,8 @@ def _cmd_bc_weighted(args: argparse.Namespace, graph) -> int:
         graph,
         arithmetic=args.arithmetic,
         root=args.root,
-        strict=not args.lenient,
-        engine=args.engine,
-        workers=args.workers,
-        partitioner=args.partitioner,
-        frame_audit=args.frame_audit,
+        options=options,
+        telemetry=telemetry,
     )
     ranked = sorted(
         graph.nodes(), key=lambda v: result.betweenness[v], reverse=True
@@ -417,11 +474,7 @@ def cmd_apsp(args: argparse.Namespace) -> int:
     result = distributed_apsp(
         graph,
         root=args.root,
-        strict=not args.lenient,
-        engine=args.engine,
-        workers=args.workers,
-        partitioner=args.partitioner,
-        frame_audit=args.frame_audit,
+        options=_run_options(args),
         protocol=args.protocol,
     )
     closeness = result.closeness()
@@ -444,10 +497,7 @@ def cmd_stress(args: argparse.Namespace) -> int:
         graph,
         arithmetic=args.arithmetic,
         root=args.root,
-        engine=args.engine,
-        workers=args.workers,
-        partitioner=args.partitioner,
-        frame_audit=args.frame_audit,
+        options=_run_options(args),
         protocol=args.protocol,
     )
     ranked = sorted(graph.nodes(), key=lambda v: result.stress[v], reverse=True)
@@ -469,10 +519,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         seed=args.seed,
         arithmetic=args.arithmetic,
         root=args.root,
-        engine=args.engine,
-        workers=args.workers,
-        partitioner=args.partitioner,
-        frame_audit=args.frame_audit,
+        options=_run_options(args),
         protocol=args.protocol,
     )
     ranked = sorted(graph.nodes(), key=lambda v: result.estimate[v], reverse=True)
@@ -557,12 +604,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         graph,
         arithmetic=args.arithmetic,
         root=args.root,
-        strict=not args.lenient,
+        options=_run_options(args),
         tracer=tracer,
-        engine=args.engine,
-        workers=args.workers,
-        partitioner=args.partitioner,
-        frame_audit=args.frame_audit,
         protocol=args.protocol,
     )
     print(
@@ -637,7 +680,7 @@ def cmd_trace_diff(args: argparse.Namespace) -> int:
                 arithmetic=args.arithmetic,
                 root=args.root,
                 tracer=tracer,
-                engine="event",
+                options=RunOptions(engine="event"),
                 protocol=protocol,
             )
             traces.append(tracer)
@@ -659,7 +702,7 @@ def cmd_trace_diff(args: argparse.Namespace) -> int:
                 arithmetic=args.arithmetic,
                 root=args.root,
                 tracer=tracer,
-                engine=engine,
+                options=RunOptions(engine=engine),
             )
             traces.append(tracer)
         trace_a, trace_b = traces
@@ -806,13 +849,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             graph,
             arithmetic=args.arithmetic,
             root=args.root,
-            strict=not args.lenient,
+            options=_run_options(args),
             tracer=tracer,
             telemetry=telemetry,
-            engine=args.engine,
-            workers=args.workers,
-            partitioner=args.partitioner,
-            frame_audit=args.frame_audit,
             protocol=args.protocol,
         )
     except SimulationNotTerminatedError as err:
@@ -1039,18 +1078,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         with open(args.plan_out, "w", encoding="utf-8") as fh:
             fh.write(plan.to_json() + "\n")
         print("fault plan written to {}".format(args.plan_out))
+    options = _run_options(args, plan=plan)
     result = distributed_betweenness(
         graph,
         arithmetic=args.arithmetic,
         root=args.root,
-        strict=not args.lenient,
-        engine=args.engine,
-        workers=args.workers,
-        partitioner=args.partitioner,
+        options=options,
         faults=plan,
         resilient=not args.raw,
         protocol=args.protocol,
-        supervision=_supervision_from_args(args, plan=plan),
     )
     completeness = result.completeness
     fault_stats = getattr(result.stats, "faults", None)
@@ -1122,10 +1158,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                     graph,
                     arithmetic=args.arithmetic,
                     root=args.root,
-                    strict=not args.lenient,
-                    engine=args.engine,
-                    workers=args.workers,
-                    partitioner=args.partitioner,
+                    options=replace(options, supervision=None),
                     protocol=args.protocol,
                 )
                 mismatched = [
@@ -1154,10 +1187,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
 
     from repro.faults import FaultPlan
     from repro.shard.checkpoint import read_manifest, resolve_checkpoint
-    from repro.shard.supervisor import (
-        DEFAULT_HEARTBEAT_TIMEOUT,
-        SupervisionConfig,
-    )
 
     ckpt = resolve_checkpoint(Path(args.checkpoint))
     manifest = read_manifest(ckpt)
@@ -1166,7 +1195,8 @@ def cmd_resume(args: argparse.Namespace) -> int:
         raise SystemExit(
             "checkpoint {} carries no CLI recipe (written through the "
             "Python API?); resume it with distributed_betweenness(..., "
-            "engine='shard', resume_from=...) instead".format(ckpt)
+            "options=RunOptions(engine='shard', supervision="
+            "SupervisionConfig(resume_from=...))) instead".format(ckpt)
         )
     graph = _load_graph(
         argparse.Namespace(
@@ -1176,36 +1206,15 @@ def cmd_resume(args: argparse.Namespace) -> int:
     plan = (
         FaultPlan.from_dict(recipe["plan"]) if recipe.get("plan") else None
     )
-    # Keep writing into the same run directory (derived from the
-    # snapshot's real location, not the possibly-relative recipe path)
-    # so a resumed run stays checkpointed and restartable.
-    checkpoint_every = recipe.get("checkpoint_every", 0) or 0
-    supervision = SupervisionConfig(
-        heartbeat_timeout=(
-            args.heartbeat_timeout
-            if args.heartbeat_timeout is not None
-            else DEFAULT_HEARTBEAT_TIMEOUT
-        ),
-        max_restarts=args.max_restarts,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=(
-            str(ckpt.parent.parent) if checkpoint_every else None
-        ),
-        resume_from=str(ckpt),
-        meta={"cli": recipe},
-    )
+    options = _options_from_recipe(recipe, ckpt, args)
     result = distributed_betweenness(
         graph,
         arithmetic=recipe.get("arithmetic") or "lfloat",
         root=recipe.get("root", 0),
-        strict=not recipe.get("lenient", False),
-        engine="shard",
-        workers=recipe.get("workers", 1),
-        partitioner=recipe.get("partitioner", "greedy"),
+        options=options,
         protocol=recipe.get("protocol"),
         faults=plan,
         resilient=bool(recipe.get("resilient", False)),
-        supervision=supervision,
     )
     ranked = sorted(
         graph.nodes(), key=lambda v: result.betweenness[v], reverse=True
@@ -1234,8 +1243,7 @@ def cmd_resume(args: argparse.Namespace) -> int:
             graph,
             arithmetic=recipe.get("arithmetic") or "lfloat",
             root=recipe.get("root", 0),
-            strict=not recipe.get("lenient", False),
-            engine="event",
+            options=RunOptions(engine="event", strict=options.strict),
             protocol=recipe.get("protocol"),
             faults=plan,
             resilient=bool(recipe.get("resilient", False)),

@@ -10,11 +10,8 @@ from repro.wire import (
     int_bits,
 )
 from repro.congest.node import Inbox, NodeAlgorithm, NodeFactory, RoundContext
-from repro.congest.simulator import (
-    DEFAULT_CONGEST_FACTOR,
-    Simulator,
-    run_protocol,
-)
+from repro.congest.options import DEFAULT_CONGEST_FACTOR, RunOptions
+from repro.congest.simulator import Simulator, run_protocol
 from repro.congest.stats import CutTracker, SimulationStats
 from repro.congest.primitives import (
     BfsTreeNode,
@@ -48,6 +45,7 @@ __all__ = [
     "NodeFactory",
     "PayloadMessage",
     "RoundContext",
+    "RunOptions",
     "SimulationStats",
     "Simulator",
     "TokenMessage",

@@ -3,7 +3,7 @@
 Every round-stepping engine runs this one kernel over the round model
 of Section III-A:
 
-* the sweep engine (``Simulator(engine="sweep")``) with the *sweep*
+* the sweep engine (``RunOptions(engine="sweep")``) with the *sweep*
   policy: every member is stepped every round;
 * the event engine with the *wake* policy: only members holding a
   waking arrival or a registered self-wake are stepped;

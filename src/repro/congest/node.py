@@ -59,7 +59,7 @@ class RoundContext:
     def wake_at(self, round_number: int) -> None:
         """Register a self-wake: step this node again at ``round_number``.
 
-        Under the event engine (``Simulator(engine="event")``) a node is
+        Under the event engine (``RunOptions(engine="event")``) a node is
         only stepped when its inbox is non-empty; a node whose next
         action is triggered by the *round number* alone (a scheduled
         aggregation send, a timer such as "my children are final two
@@ -105,7 +105,7 @@ class NodeAlgorithm(abc.ABC):
     :attr:`done`; the simulation terminates when every node is done and
     no message is in flight.
 
-    To be runnable under the event engine (``Simulator(engine="event")``)
+    To be runnable under the event engine (``RunOptions(engine="event")``)
     a node must uphold the **active-set invariant**: whenever its next
     state change or send is triggered purely by the round number (not by
     an incoming message), it registers that round via

@@ -62,27 +62,17 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro.congest.kernel import RoundKernel
 from repro.congest.node import NodeAlgorithm, NodeFactory
+from repro.congest.options import DEFAULT_CONGEST_FACTOR  # noqa: F401
+from repro.congest.options import RunOptions
 from repro.congest.stats import CutTracker, SimulationStats
 from repro.exceptions import SimulationNotTerminatedError
 from repro.wire import WireFormat
 from repro.graphs.graph import Graph
 
-#: Default per-edge budget multiplier: budget = factor * ceil(log2 N).
-#: The pipeline's worst round stacks a BFS wave (id + round stamp +
-#: distance + a 2L+1-bit float), a token and a control message, all
-#: O(log N); 32 covers L = 3 log2 N comfortably while still catching the
-#: Theta(N)-bit messages of exact arithmetic on path-count-heavy graphs.
-DEFAULT_CONGEST_FACTOR = 32
-
-#: Recognized execution engines (see the module docstring).  ``"auto"``
-#: resolves to the fastest capable engine at construction time via
-#: :func:`repro.engines.resolve_engine`; ``"bulk"`` is the vectorized
-#: numpy backend and ``"shard"`` the multi-process runtime of
-#: :mod:`repro.shard` (both raise
-#: :class:`~repro.exceptions.EngineCapabilityError` when the run falls
-#: outside their envelope).  ``"auto"`` never resolves to ``"shard"``
-#: — multi-process execution is an explicit opt-in.
-ENGINES = ("sweep", "event", "bulk", "shard", "auto")
+#: A bare simulator runs on sweep, the engine that makes no assumptions
+#: about a custom :class:`NodeAlgorithm`; every pipeline defaults to
+#: ``RunOptions()`` (``engine="auto"``) instead.
+_SWEEP = RunOptions(engine="sweep")
 
 
 class Simulator:
@@ -94,11 +84,12 @@ class Simulator:
         The communication topology.
     node_factory:
         Called as ``node_factory(node_id, neighbors)`` for every node.
-    strict:
-        Enforce the per-edge bit budget (default True).
-    congest_factor:
-        Budget multiplier c in ``c * ceil(log2 N)`` bits per directed
-        edge per round.
+    options:
+        The :class:`~repro.congest.options.RunOptions` choosing the
+        engine, shard workers, partitioner, supervision, bandwidth
+        enforcement and frame audit.  Defaults to ``engine="sweep"``,
+        which runs any node algorithm; ``"event"`` additionally needs
+        the wake contract (see the module docstring).
     max_rounds:
         Safety valve; exceeded ⇒ :class:`SimulationNotTerminatedError`.
         Defaults to ``20 * N + 1000``, far above the paper's O(N) bound.
@@ -124,24 +115,6 @@ class Simulator:
         their delivery/step sections and count scheduling events.  The
         disabled path (``None``, the default) costs one identity check
         per hook site, mirroring ``tracer``.
-    engine:
-        ``"sweep"`` (default) steps every node every round; ``"event"``
-        steps only nodes with pending messages or registered wakes and
-        fast-forwards idle rounds.  Both engines produce identical
-        results for protocols honoring the wake contract (see the
-        module docstring).
-    frame_audit:
-        When True, the simulator additionally *materializes* every
-        per-edge per-round frame through the wire codec
-        (:func:`repro.wire.encode_frame` coalesces the edge's messages
-        into one bit string) and verifies its length equals the bits
-        the accounting charged; a disagreement raises
-        :class:`~repro.exceptions.WireCodecError`.  This turns the
-        bandwidth numbers from "trusted bookkeeping" into "checked
-        against real encoded frames" at the cost of encoding every
-        message, so it is off by default.  (Incompatible with resilient
-        transport runs, whose envelopes are honestly sized but live
-        outside the 4-bit tag registry.)
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` or pre-built
         :class:`~repro.faults.injector.FaultInjector`.  When given,
@@ -159,76 +132,35 @@ class Simulator:
         class (``None`` for unregistered custom algorithms).  The
         engine dispatcher, the progress estimator and the telemetry
         metadata consult it instead of probing for the stock node.
-    workers:
-        Number of worker processes for ``engine="shard"`` (ignored by
-        the single-process engines).  Shard 0 runs inside this process;
-        the rest are forked children exchanging encoded wire frames per
-        round.  See ``docs/sharding.md``.
-    partitioner:
-        Node-partitioning strategy for ``engine="shard"``: ``"greedy"``
-        (default, graph-growing edge-cut minimizer) or ``"block"``
-        (contiguous id ranges).
-    supervision:
-        A :class:`repro.shard.supervisor.SupervisionConfig` turning the
-        shard coordinator into a supervisor (heartbeat watchdog, worker
-        respawn, round-boundary checkpoints, resume).  Requires
-        ``engine="shard"``; see ``docs/recovery.md``.
     """
 
     def __init__(
         self,
         graph: Graph,
         node_factory: NodeFactory,
-        strict: bool = True,
-        congest_factor: int = DEFAULT_CONGEST_FACTOR,
+        options: RunOptions = _SWEEP,
         max_rounds: Optional[int] = None,
         cut: Optional[Iterable[int]] = None,
         wire: Optional[WireFormat] = None,
         tracer=None,
         telemetry=None,
-        engine: str = "sweep",
-        frame_audit: bool = False,
         faults=None,
         protocol=None,
-        workers: int = 1,
-        partitioner: str = "greedy",
-        supervision=None,
     ):
-        if engine not in ENGINES:
-            raise ValueError(
-                "unknown engine {!r} (expected one of {})".format(
-                    engine, ENGINES
-                )
-            )
-        if not isinstance(workers, int) or workers < 1:
-            raise ValueError(
-                "workers must be a positive int, got {!r}".format(workers)
-            )
-        # Worker count and partitioner apply to engine="shard" only;
-        # they are validated here (and the partitioner name by
-        # repro.shard.partition at run time) so a typo fails fast even
-        # when the run resolves to a single-process engine.
-        from repro.shard.partition import PARTITIONERS
-
-        if partitioner not in PARTITIONERS:
-            raise ValueError(
-                "unknown partitioner {!r} (expected one of {})".format(
-                    partitioner, PARTITIONERS
-                )
-            )
-        self.workers = workers
-        self.partitioner = partitioner
+        engine = options.engine
+        self.workers = options.workers
+        self.partitioner = options.partitioner
         # Supervision (heartbeats, respawn, round-boundary checkpoints,
         # resume) for engine="shard"; None keeps the unsupervised path.
-        self.supervision = supervision
+        self.supervision = options.supervision
         self.graph = graph
-        self.strict = strict
+        self.strict = options.strict
         self.engine = engine
         self.wire = wire or WireFormat(max(1, graph.num_nodes))
         # O(log N) hides an additive constant; flooring the log factor
         # at 4 bits keeps degenerate 2-node networks from being starved
         # below a single float-carrying message.
-        self.bit_budget = congest_factor * max(4, self.wire.id_bits)
+        self.bit_budget = options.congest_factor * max(4, self.wire.id_bits)
         self.max_rounds = (
             max_rounds if max_rounds is not None else 20 * graph.num_nodes + 1000
         )
@@ -246,7 +178,7 @@ class Simulator:
         ]
         #: Frame audit (off by default): every per-edge round frame is
         #: encoded and length-checked against the billed bits.
-        self.frame_audit = frame_audit
+        self.frame_audit = options.frame_audit
         # Fault injection (None = zero-cost fast path).  A bare
         # FaultPlan is wrapped in a fresh injector here; the import is
         # lazy so repro.congest keeps no hard dependency on repro.faults.
@@ -285,17 +217,6 @@ class Simulator:
 
             self.engine_decision = decide_engine(engine, self)
             self.engine = self.engine_decision.resolved
-        if self.supervision is not None and self.engine != "shard":
-            # Supervision only exists in the multi-process runtime; a
-            # silently-ignored checkpoint/resume request would be a
-            # durability lie, so fail loudly instead.
-            from repro.exceptions import EngineCapabilityError
-
-            raise EngineCapabilityError(
-                self.engine,
-                "supervision (checkpoints, restarts, resume) requires "
-                "engine='shard'",
-            )
         self.stats.engine = self.engine
 
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ computations the paper's introduction attributes to the APSP results of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -25,7 +25,8 @@ from repro.arithmetic.context import (
     ExactContext,
     make_context,
 )
-from repro.congest.simulator import DEFAULT_CONGEST_FACTOR, Simulator
+from repro.congest.options import DEFAULT_CONGEST_FACTOR, RunOptions
+from repro.congest.simulator import Simulator
 from repro.congest.stats import SimulationStats
 from repro.core.config import UNIT_STRESS, ProtocolConfig
 from repro.core.node import BetweennessNode, make_node_factory
@@ -156,20 +157,14 @@ def distributed_betweenness(
     graph: Graph,
     arithmetic: ModeSpec = "lfloat",
     root: Optional[int] = 0,
-    strict: bool = True,
-    congest_factor: int = DEFAULT_CONGEST_FACTOR,
+    options: RunOptions = RunOptions(),
     cut=None,
     config: Optional[ProtocolConfig] = None,
     tracer=None,
     telemetry=None,
-    engine: str = "auto",
-    frame_audit: bool = False,
     faults=None,
     resilient: bool = False,
     protocol=None,
-    workers: int = 1,
-    partitioner: str = "greedy",
-    supervision=None,
 ) -> DistributedBCResult:
     """Compute every node's betweenness with the paper's algorithm.
 
@@ -190,9 +185,18 @@ def distributed_betweenness(
         minimum-id leader election
         (:func:`repro.congest.primitives.elect_root`); the election's
         rounds are *not* included in ``result.rounds``.
-    strict, congest_factor:
-        Per-edge bandwidth enforcement, see
-        :class:`~repro.congest.simulator.Simulator`.
+    options:
+        The :class:`~repro.congest.options.RunOptions` choosing how the
+        run executes: engine (``"auto"`` by default — the vectorized
+        ``"bulk"`` engine when numpy is available and the run fits its
+        envelope, else ``"event"``), shard workers and partitioner,
+        supervision, per-edge bandwidth enforcement and frame audit.
+        None of them changes the result: every engine, worker count
+        and supervised (even resumed) run is bit-identical, which the
+        differential suite enforces.  The resolved engine is reported
+        via ``result.stats.engine``.  A supervised run paused by
+        ``SupervisionConfig.stop_after`` raises
+        :class:`~repro.exceptions.CheckpointPause`.
     cut:
         Optional node set for cut-traffic accounting (Section IX
         experiments).
@@ -206,26 +210,6 @@ def distributed_betweenness(
         (protocol-state phase marks); after the run its
         ``finalize_run(result)`` hook fires so post-run monitors (the
         Theorem 1 error check) can judge the collected result.
-    engine:
-        Simulator execution engine.  ``"auto"`` (default) resolves to
-        the fastest capable backend via
-        :mod:`repro.engines.dispatcher`: the vectorized ``"bulk"``
-        engine when numpy is available and the run fits its envelope,
-        else ``"event"``.  ``"event"`` steps only active nodes;
-        ``"sweep"`` steps every node every round (the assumption-free
-        reference); ``"bulk"`` executes whole rounds as numpy array
-        ops.  All engines produce bit-identical results (the
-        differential suite enforces it); explicit ``"bulk"`` raises
-        :class:`~repro.exceptions.EngineCapabilityError` outside its
-        envelope.  The resolved name is reported in
-        ``result.stats`` consumers via ``Simulator.engine``.
-    frame_audit:
-        When True, every per-edge per-round frame is materialized
-        through the :mod:`repro.wire` codec and length-checked against
-        the billed bits (see
-        :class:`~repro.congest.simulator.Simulator`).  Incompatible
-        with ``resilient`` (transport envelopes are honestly sized but
-        unregistered in the 4-bit tag space).
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` (or pre-built
         :class:`~repro.faults.injector.FaultInjector`) subjecting the
@@ -240,8 +224,8 @@ def distributed_betweenness(
         Run every node behind the ack/retransmit transport
         (:class:`~repro.faults.transport.ResilientNode`).  Under any
         recoverable fault plan the recovered betweenness is exactly the
-        fault-free answer.  When ``congest_factor`` is left at its
-        default it is raised to
+        fault-free answer.  When ``options.congest_factor`` is left at
+        its default it is raised to
         :data:`~repro.faults.transport.RESILIENT_CONGEST_FACTOR` to
         fund the transport's constant per-edge overhead.
     protocol:
@@ -252,27 +236,6 @@ def distributed_betweenness(
         The descriptor supplies the node factory, the engine capability
         flags and the result extractor; the chosen name is recorded in
         ``result.protocol``.
-    workers:
-        Worker-process count for ``engine="shard"`` — the node set is
-        partitioned across processes and only cross-shard traffic
-        crosses process boundaries (as encoded wire frames), so rounds,
-        bits, messages and betweenness stay bit-identical to the
-        single-process engines.  Ignored by every other engine;
-        ``"auto"`` never resolves to the sharded runtime.  See
-        ``docs/sharding.md``.
-    partitioner:
-        Shard partitioning strategy (``"greedy"`` or ``"block"``); see
-        :mod:`repro.shard.partition`.
-    supervision:
-        A :class:`repro.shard.supervisor.SupervisionConfig` making the
-        shard coordinator supervise its workers: heartbeat watchdog,
-        respawn-with-rollback on dead/hung workers, round-boundary
-        checkpoints, resume.  Requires ``engine="shard"``.  Supervision
-        never changes any output — a recovered or resumed run is
-        bit-identical to an uninterrupted one.  See
-        ``docs/recovery.md``.  A run paused by
-        ``SupervisionConfig.stop_after`` raises
-        :class:`~repro.exceptions.CheckpointPause`.
 
     Returns
     -------
@@ -292,7 +255,12 @@ def distributed_betweenness(
         from repro.congest.primitives import elect_root
 
         root, _election_rounds = elect_root(
-            graph, strict=strict, congest_factor=congest_factor
+            graph,
+            options=RunOptions(
+                engine="sweep",
+                strict=options.strict,
+                congest_factor=options.congest_factor,
+            ),
         )
     if not graph.has_node(root):
         raise KeyError(root)
@@ -328,23 +296,19 @@ def distributed_betweenness(
         )
 
         node_factory = make_resilient_factory(node_factory)
-        if congest_factor == DEFAULT_CONGEST_FACTOR:
-            congest_factor = RESILIENT_CONGEST_FACTOR
+        if options.congest_factor == DEFAULT_CONGEST_FACTOR:
+            options = replace(
+                options, congest_factor=RESILIENT_CONGEST_FACTOR
+            )
     simulator = Simulator(
         graph,
         node_factory,
-        strict=strict,
-        congest_factor=congest_factor,
+        options=options,
         cut=cut,
         tracer=tracer,
         telemetry=telemetry,
-        engine=engine,
-        frame_audit=frame_audit,
         faults=injector,
         protocol=proto,
-        workers=workers,
-        partitioner=partitioner,
-        supervision=supervision,
     )
     try:
         stats = simulator.run()
@@ -558,9 +522,6 @@ class DistributedAPSPResult:
 def distributed_apsp(
     graph: Graph,
     root: int = 0,
-    strict: bool = True,
-    congest_factor: int = DEFAULT_CONGEST_FACTOR,
-    engine: str = "auto",
     **kwargs,
 ) -> DistributedAPSPResult:
     """Run Algorithm 2 alone (the Holzer–Wattenhofer-style APSP core).
@@ -568,17 +529,14 @@ def distributed_apsp(
     The aggregation phase is skipped: nodes terminate as soon as the
     completion broadcast reaches them, so the round count reflects the
     counting phase plus O(D) control rounds.  Remaining keyword
-    arguments (``telemetry``, ``frame_audit``, ...) are forwarded to
+    arguments (``options``, ``telemetry``, ...) are forwarded to
     :func:`distributed_betweenness`.
     """
     result = distributed_betweenness(
         graph,
         arithmetic="exact",
         root=root,
-        strict=strict,
-        congest_factor=congest_factor,
         config=ProtocolConfig(aggregate=False),
-        engine=engine,
         **kwargs,
     )
     return DistributedAPSPResult(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional
 
-from repro.congest.simulator import DEFAULT_CONGEST_FACTOR
+from repro.congest.options import RunOptions
 from repro.congest.stats import SimulationStats
 from repro.core.config import ProtocolConfig
 from repro.core.pipeline import ModeSpec, distributed_betweenness
@@ -65,13 +65,8 @@ def distributed_weighted_betweenness(
     graph: WeightedGraph,
     arithmetic: ModeSpec = "exact",
     root: int = 0,
-    strict: bool = True,
-    congest_factor: int = DEFAULT_CONGEST_FACTOR,
-    engine: str = "auto",
+    options: RunOptions = RunOptions(),
     telemetry=None,
-    frame_audit: bool = False,
-    workers: int = 1,
-    partitioner: str = "greedy",
 ) -> WeightedBCResult:
     """Betweenness of every node of a weighted graph, distributively.
 
@@ -102,14 +97,9 @@ def distributed_weighted_betweenness(
         subdivision.graph,
         arithmetic=arithmetic,
         root=root,
-        strict=strict,
-        congest_factor=congest_factor,
+        options=options,
         config=config,
-        engine=engine,
         telemetry=telemetry,
-        frame_audit=frame_audit,
-        workers=workers,
-        partitioner=partitioner,
     )
     real = sorted(subdivision.real_nodes)
     betweenness = {v: run.betweenness[v] for v in real}

@@ -26,7 +26,6 @@ from repro.engines.dispatcher import (
     shard_capability,
     numpy_available,
     reset_probe,
-    resolve_engine,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "shard_capability",
     "numpy_available",
     "reset_probe",
-    "resolve_engine",
 ]

@@ -272,24 +272,17 @@ def decide_engine(requested: str, simulator) -> EngineDecision:
         if not capable:
             raise EngineCapabilityError("bulk", reason)
         return EngineDecision("bulk", "bulk", "explicitly requested")
-    # requested == "auto": walk the preference chain.
+    # requested == "auto": bulk when capable, else the next engine in
+    # the preference chain (event never refuses a run).
     if capable:
         logger.info("engine=auto resolved to 'bulk' (numpy batch backend)")
         return EngineDecision(
             "auto", "bulk", "capability probe passed (numpy batch backend)"
         )
-    for fallback in ENGINE_PREFERENCE[1:]:
-        logger.info(
-            "engine=auto resolved to %r (bulk unavailable: %s)",
-            fallback,
-            reason,
-        )
-        return EngineDecision(
-            "auto", fallback, "bulk unavailable: {}".format(reason)
-        )
-    raise EngineCapabilityError(requested, "no capable engine")  # pragma: no cover
-
-
-def resolve_engine(requested: str, simulator) -> str:
-    """Backward-compatible shim: the resolved name of :func:`decide_engine`."""
-    return decide_engine(requested, simulator).resolved
+    fallback = ENGINE_PREFERENCE[1]
+    logger.info(
+        "engine=auto resolved to %r (bulk unavailable: %s)", fallback, reason
+    )
+    return EngineDecision(
+        "auto", fallback, "bulk unavailable: {}".format(reason)
+    )

@@ -57,7 +57,7 @@ from __future__ import annotations
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.congest.node import Inbox, NodeAlgorithm, NodeFactory, RoundContext
-from repro.congest.simulator import DEFAULT_CONGEST_FACTOR
+from repro.congest.options import DEFAULT_CONGEST_FACTOR
 from repro.exceptions import ProtocolError
 from repro.wire import FLAG, ROUND, UINT, Message, WireFormat, uint_bits
 

@@ -13,7 +13,7 @@ Public surface:
 * :func:`repro.shard.frames.encode_shard_frame` /
   ``decode_shard_frame`` — the per-(src, dst) shard-frame batch codec.
 * :func:`repro.shard.runtime.run_shard` — the parent coordinator,
-  invoked by ``Simulator(engine="shard", workers=W)``.
+  invoked by ``Simulator(options=RunOptions(engine="shard", workers=W))``.
 * :class:`repro.shard.supervisor.SupervisionConfig` — heartbeats,
   worker respawn and round-boundary checkpoints for the coordinator;
   see ``docs/recovery.md``.

@@ -28,10 +28,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+from repro.congest.options import PARTITIONERS
 from repro.graphs.graph import Graph
-
-#: Recognized partitioner names.
-PARTITIONERS = ("block", "greedy")
 
 
 def _capacities(n: int, workers: int) -> List[int]:
@@ -89,7 +87,7 @@ def _greedy(graph: Graph, workers: int) -> List[List[int]]:
 
 
 def partition_nodes(
-    graph: Graph, workers: int, kind: str = "greedy", root: int = 0
+    graph: Graph, workers: int, kind: str, root: int = 0
 ) -> Tuple[List[int], List[List[int]]]:
     """Partition the graph's nodes into ``workers`` shards.
 

@@ -537,7 +537,8 @@ def _child_main(
 
 
 class _Coordinator:
-    """The parent-side outer loop replicating ``Simulator._run_event``."""
+    """The parent-side outer loop replicating the event engine's round
+    loop (``Simulator._run_rounds``) over worker reports."""
 
     def __init__(self, sim):
         self.sim = sim

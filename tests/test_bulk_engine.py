@@ -19,6 +19,7 @@ np = pytest.importorskip("numpy")
 from repro.arithmetic import make_context
 from repro.arithmetic.lfloat import LFloat, Rounding
 from repro.congest import Simulator
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.core.config import ProtocolConfig
 from repro.core.node import make_node_factory
@@ -126,8 +127,8 @@ def _expect_rejection(match, graph=None, **kwargs):
         distributed_betweenness(
             graph if graph is not None else figure1_graph(),
             arithmetic=kwargs.pop("arithmetic", "lfloat"),
-            engine="bulk",
-            **kwargs
+            options=RunOptions(engine="bulk"),
+            **kwargs,
         )
 
 
@@ -148,7 +149,11 @@ def test_bulk_rejects_fault_injection():
 def test_bulk_rejects_single_node_graph():
     arith = make_context("lfloat", 1)
     with pytest.raises(EngineCapabilityError, match="two nodes"):
-        Simulator(Graph(1, name="k1"), make_node_factory(0, arith), engine="bulk")
+        Simulator(
+            Graph(1, name="k1"),
+            make_node_factory(0, arith),
+            options=RunOptions(engine="bulk"),
+        )
 
 
 def test_bulk_rejects_disconnected_graph():
@@ -157,7 +162,11 @@ def test_bulk_rejects_disconnected_graph():
     graph = Graph(4, [(0, 1), (2, 3)], name="two-islands")
     arith = make_context("lfloat", 4)
     with pytest.raises(EngineCapabilityError, match="not connected"):
-        Simulator(graph, make_node_factory(0, arith), engine="bulk")
+        Simulator(
+            graph,
+            make_node_factory(0, arith),
+            options=RunOptions(engine="bulk"),
+        )
 
 
 def test_bulk_rejects_out_of_range_sources():
@@ -175,12 +184,16 @@ def test_bulk_rejects_non_protocol_nodes():
             self.done = True
 
     with pytest.raises(EngineCapabilityError, match="BetweennessNode"):
-        Simulator(path_graph(3), _Custom, engine="bulk")
+        Simulator(path_graph(3), _Custom, options=RunOptions(engine="bulk"))
 
 
 def test_auto_reports_capable_for_stock_runs():
     arith = make_context("lfloat", 5)
-    sim = Simulator(path_graph(5), make_node_factory(0, arith), engine="sweep")
+    sim = Simulator(
+        path_graph(5),
+        make_node_factory(0, arith),
+        options=RunOptions(engine="sweep"),
+    )
     capable, reason = bulk_capability(sim)
     assert capable, reason
 
@@ -225,7 +238,10 @@ def test_bulk_matches_sweep_on_variants(graph, variant):
     runs = {
         engine: _fp(
             distributed_betweenness(
-                graph, arithmetic="lfloat", engine=engine, **kwargs
+                graph,
+                arithmetic="lfloat",
+                options=RunOptions(engine=engine),
+                **kwargs,
             )
         )
         for engine in ("sweep", "bulk")
@@ -238,8 +254,16 @@ def test_bulk_matches_sweep_on_variants(graph, variant):
 # ----------------------------------------------------------------------
 def test_bulk_ledger_is_lazy_then_complete():
     graph = cycle_graph(8)
-    bulk = distributed_betweenness(graph, arithmetic="lfloat", engine="bulk")
-    sweep = distributed_betweenness(graph, arithmetic="lfloat", engine="sweep")
+    bulk = distributed_betweenness(
+        graph,
+        arithmetic="lfloat",
+        options=RunOptions(engine="bulk"),
+    )
+    sweep = distributed_betweenness(
+        graph,
+        arithmetic="lfloat",
+        options=RunOptions(engine="sweep"),
+    )
     for b_node, s_node in zip(bulk.nodes, sweep.nodes):
         assert sorted(b_node.ledger.sources()) == sorted(s_node.ledger.sources())
         for s in s_node.ledger.sources():
@@ -255,7 +279,11 @@ def test_bulk_ledger_is_lazy_then_complete():
 
 def test_bulk_ledger_survives_pickling():
     graph = figure1_graph()
-    result = distributed_betweenness(graph, arithmetic="lfloat", engine="bulk")
+    result = distributed_betweenness(
+        graph,
+        arithmetic="lfloat",
+        options=RunOptions(engine="bulk"),
+    )
     node = result.nodes[2]
     clone = pickle.loads(pickle.dumps(node.ledger))
     assert sorted(clone.sources()) == sorted(node.ledger.sources())
@@ -312,9 +340,13 @@ def test_bulk_matches_event_on_tie_heavy_families(graph, variant):
         },
         "strict": {"strict": True},
     }[variant]
+    strict = kwargs.pop("strict")
     runs = {
         engine: distributed_betweenness(
-            graph, arithmetic="lfloat", engine=engine, **kwargs
+            graph,
+            arithmetic="lfloat",
+            options=RunOptions(engine=engine, strict=strict),
+            **kwargs,
         )
         for engine in ("event", "bulk")
     }
@@ -451,7 +483,9 @@ def test_bulk_fast_path_rejects_colliding_aggregation_schedule(monkeypatch):
         r"\d+ — Lemma 4 violated",
     ):
         distributed_betweenness(
-            figure1_graph(), arithmetic="lfloat", engine="bulk"
+            figure1_graph(),
+            arithmetic="lfloat",
+            options=RunOptions(engine="bulk"),
         )
 
 
@@ -471,8 +505,13 @@ def test_bulk_strict_violation_matches_sweep(graph, factor):
     for engine in ("sweep", "bulk"):
         with pytest.raises(CongestViolationError) as info:
             distributed_betweenness(
-                graph, arithmetic="lfloat", engine=engine, strict=True,
-                congest_factor=factor,
+                graph,
+                arithmetic="lfloat",
+                options=RunOptions(
+                    engine=engine,
+                    strict=True,
+                    congest_factor=factor,
+                ),
             )
         err = info.value
         raised[engine] = (
@@ -500,8 +539,9 @@ def test_bulk_audit_samples_every_group_class(monkeypatch):
 
     monkeypatch.setattr(bulk, "encode_frame", recording)
     distributed_betweenness(
-        barabasi_albert_graph(60, 3, seed=2), arithmetic="lfloat",
-        engine="bulk",
+        barabasi_albert_graph(60, 3, seed=2),
+        arithmetic="lfloat",
+        options=RunOptions(engine="bulk"),
     )
     assert len(frames) >= 64
     assert any(kinds <= _BROADCAST_TYPES for kinds in frames)
@@ -527,8 +567,9 @@ def test_bulk_audit_catches_overbilled_kind(monkeypatch, kind):
     monkeypatch.setattr(bulk, "_billed_widths", overbilled)
     with pytest.raises(WireCodecError, match="charged"):
         distributed_betweenness(
-            barabasi_albert_graph(60, 3, seed=2), arithmetic="lfloat",
-            engine="bulk", strict=False,
+            barabasi_albert_graph(60, 3, seed=2),
+            arithmetic="lfloat",
+            options=RunOptions(engine="bulk", strict=False),
         )
 
 
@@ -595,7 +636,9 @@ def test_bulk_sigma_switch_to_lfloat_is_bit_identical(
     monkeypatch.setattr(bulk, "_ordered_fold", spy)
     runs = {
         engine: distributed_betweenness(
-            graph, arithmetic="lfloat-{}".format(L), engine=engine,
+            graph,
+            arithmetic="lfloat-{}".format(L),
+            options=RunOptions(engine=engine),
             config=config,
         )
         for engine in ("sweep", "event", "bulk")

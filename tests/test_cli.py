@@ -264,3 +264,126 @@ class TestChaosCommand:
         assert "did NOT terminate" in out
         assert "round limit" in out
         assert "[2, 5]" in out
+
+
+def _weighted_file(tmp_path):
+    from repro.graphs import WeightedGraph, dumps_json
+
+    path = tmp_path / "wg.json"
+    path.write_text(
+        dumps_json(
+            WeightedGraph(4, [(0, 1, 2), (1, 2, 1), (2, 3, 2), (0, 3, 5)])
+        )
+    )
+    return str(path)
+
+
+class TestRunOptionsForwarding:
+    """Every protocol command hands its execution flags to the simulator."""
+
+    @pytest.fixture
+    def simulators(self, monkeypatch):
+        from repro.congest.simulator import Simulator
+
+        built = []
+        init = Simulator.__init__
+
+        def spy(sim, *args, **kwargs):
+            init(sim, *args, **kwargs)
+            built.append(sim)
+
+        monkeypatch.setattr(Simulator, "__init__", spy)
+        return built
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("bc", ()),
+            ("bc-weighted", ()),
+            ("apsp", ()),
+            ("stress", ()),
+            ("sample", ("--pivots", "3")),
+            ("trace", ()),
+            ("report", ()),
+            ("chaos", ()),
+        ],
+    )
+    def test_flags_reach_the_simulator(
+        self, command, extra, simulators, tmp_path, capsys
+    ):
+        graph = ("--graph", "path:6")
+        if command == "bc-weighted":
+            command, graph = "bc", ("--file", _weighted_file(tmp_path))
+        audit = command != "chaos"  # chaos rejects --frame-audit
+        argv = [command, *graph, *extra, "--lenient", "--engine", "event"]
+        argv += ["--partitioner", "block"]
+        if audit:
+            argv.append("--frame-audit")
+        assert main(argv) == 0
+        assert simulators
+        for sim in simulators:
+            assert sim.strict is False
+            assert sim.engine_requested == "event"
+            assert sim.partitioner == "block"
+            assert sim.frame_audit is audit
+
+
+class TestWeightedBc:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--checkpoint-every", "2", "--checkpoint-dir", "{ckpt}"),
+            ("--checkpoint-dir", "{ckpt}"),
+            ("--max-restarts", "1"),
+            ("--heartbeat-timeout", "5"),
+        ],
+        ids=["checkpoint-every", "checkpoint-dir", "max-restarts",
+             "heartbeat-timeout"],
+    )
+    def test_supervision_flags_refused(self, flags, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        argv = ["bc", "--file", _weighted_file(tmp_path)]
+        argv += ["--engine", "shard", "--workers", "2"]
+        argv += [flag.format(ckpt=ckpt) for flag in flags]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert flags[0] in str(excinfo.value)
+        assert "weighted" in str(excinfo.value)
+        assert not ckpt.exists()
+
+    def test_streams_telemetry(self, tmp_path, capsys):
+        import json
+
+        stream = tmp_path / "run.jsonl"
+        argv = ["bc", "--file", _weighted_file(tmp_path)]
+        assert main(argv + ["--stream-jsonl", str(stream)]) == 0
+        rows = [json.loads(line) for line in stream.read_text().splitlines()]
+        assert rows[0]["event"] == "meta"
+        assert any(row.get("final") for row in rows)
+
+
+class TestResumeRecipe:
+    def test_pause_and_resume_round_trip(self, tmp_path, capsys):
+        from repro.shard.checkpoint import read_manifest, resolve_checkpoint
+
+        argv = ["bc", "--graph", "cycle:10", "--engine", "shard"]
+        argv += ["--workers", "2", "--partitioner", "block", "--lenient"]
+        argv += ["--checkpoint-every", "4", "--checkpoint-dir", str(tmp_path)]
+        assert main(argv + ["--checkpoint-stop-after", "8"]) == 3
+        recipe = read_manifest(resolve_checkpoint(tmp_path))["meta"]["cli"]
+        assert recipe == {
+            "graph": "cycle:10",
+            "file": None,
+            "protocol": "hua-bc",
+            "arithmetic": "lfloat",
+            "root": 0,
+            "lenient": True,
+            "workers": 2,
+            "partitioner": "block",
+            "resilient": False,
+            "checkpoint_every": 4,
+            "checkpoint_dir": str(tmp_path),
+            "plan": None,
+        }
+        assert main(["resume", str(tmp_path), "--check"]) == 0
+        assert "check OK" in capsys.readouterr().out

@@ -13,6 +13,7 @@ from repro.congest import (
     int_bits,
     run_protocol,
 )
+from repro.congest.options import RunOptions
 from repro.exceptions import (
     CongestViolationError,
     SimulationNotTerminatedError,
@@ -100,17 +101,33 @@ class TestFlooding:
 class TestBudgets:
     def test_strict_violation_raises(self):
         with pytest.raises(CongestViolationError) as err:
-            run_protocol(path_graph(3), ChattyNode, strict=True)
+            run_protocol(
+                path_graph(3),
+                ChattyNode,
+                options=RunOptions(engine="sweep", strict=True),
+            )
         assert err.value.bits_used >= 10**6
         assert "CONGEST violation" in str(err.value)
 
     def test_lenient_mode_allows(self):
-        nodes, stats = run_protocol(path_graph(3), ChattyNode, strict=False)
+        nodes, stats = run_protocol(
+            path_graph(3),
+            ChattyNode,
+            options=RunOptions(engine="sweep", strict=False),
+        )
         assert stats.max_edge_bits_per_round >= 10**6
 
     def test_budget_scales_with_factor(self):
-        sim_small = Simulator(path_graph(4), FloodNode, congest_factor=1)
-        sim_large = Simulator(path_graph(4), FloodNode, congest_factor=64)
+        sim_small = Simulator(
+            path_graph(4),
+            FloodNode,
+            options=RunOptions(engine="sweep", congest_factor=1),
+        )
+        sim_large = Simulator(
+            path_graph(4),
+            FloodNode,
+            options=RunOptions(engine="sweep", congest_factor=64),
+        )
         assert sim_large.bit_budget == 64 * sim_small.bit_budget
 
     def test_round_limit(self):
@@ -209,9 +226,17 @@ class TestBudgetFloorAndWireOverride:
         floors at factor * 4 bits so a float-carrying message fits."""
         from repro.graphs import Graph
 
-        tiny = Simulator(Graph(2, [(0, 1)]), FloodNode, congest_factor=32)
+        tiny = Simulator(
+            Graph(2, [(0, 1)]),
+            FloodNode,
+            options=RunOptions(engine="sweep", congest_factor=32),
+        )
         assert tiny.bit_budget == 32 * 4
-        big = Simulator(complete_graph(64), FloodNode, congest_factor=32)
+        big = Simulator(
+            complete_graph(64),
+            FloodNode,
+            options=RunOptions(engine="sweep", congest_factor=32),
+        )
         assert big.bit_budget == 32 * 6
 
     def test_wire_override(self):

@@ -22,6 +22,7 @@ from repro.congest import (
     TokenMessage,
     run_protocol,
 )
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.faults import CrashWindow, FaultPlan
 from repro.graphs import (
@@ -79,7 +80,11 @@ def _engines_for(arithmetic):
 def test_engines_identical_on_betweenness(graph, arithmetic):
     runs = {
         engine: _fingerprint(
-            distributed_betweenness(graph, arithmetic=arithmetic, engine=engine)
+            distributed_betweenness(
+                graph,
+                arithmetic=arithmetic,
+                options=RunOptions(engine=engine),
+            )
         )
         for engine in _engines_for(arithmetic)
     }
@@ -97,15 +102,17 @@ def test_engines_identical_through_codec_path(arithmetic):
     against the vectorized fast path."""
     graph = connected_erdos_renyi_graph(16, 0.25, seed=5)
     reference = _fingerprint(
-        distributed_betweenness(graph, arithmetic=arithmetic, engine="sweep")
+        distributed_betweenness(
+            graph,
+            arithmetic=arithmetic,
+            options=RunOptions(engine="sweep"),
+        )
     )
     for engine in _engines_for(arithmetic) + ("shard",):
         audited = distributed_betweenness(
             graph,
             arithmetic=arithmetic,
-            engine=engine,
-            frame_audit=True,
-            workers=2,
+            options=RunOptions(engine=engine, workers=2, frame_audit=True),
         )
         assert _fingerprint(audited) == reference, engine
 
@@ -118,9 +125,7 @@ def test_engines_identical_nonstrict_and_strict(strict):
             distributed_betweenness(
                 graph,
                 arithmetic="lfloat",
-                strict=strict,
-                engine=engine,
-                workers=2,
+                options=RunOptions(engine=engine, workers=2, strict=strict),
             )
         )
         for engine in _engines_for("lfloat") + ("shard",)
@@ -175,10 +180,9 @@ def test_engines_identical_under_crashes(graph, plan):
         result = distributed_betweenness(
             graph,
             arithmetic="lfloat",
-            engine=engine,
+            options=RunOptions(engine=engine, **kwargs),
             faults=plan,
             resilient=True,
-            **kwargs,
         )
         runs[name] = (
             _fingerprint(result),
@@ -193,7 +197,11 @@ def test_engines_identical_under_crashes(graph, plan):
 
 def test_unknown_engine_rejected():
     with pytest.raises(ValueError, match="unknown engine"):
-        Simulator(path_graph(3), _InboxRecorder, engine="turbo")
+        Simulator(
+            path_graph(3),
+            _InboxRecorder,
+            options=RunOptions(engine="turbo"),
+        )
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +227,11 @@ class _InboxRecorder(NodeAlgorithm):
 @pytest.mark.parametrize("engine", ["sweep", "event"])
 def test_inbox_is_sender_sorted_without_sorting(engine):
     graph = connected_erdos_renyi_graph(20, 0.3, seed=11)
-    nodes, _stats = run_protocol(graph, _InboxRecorder, engine=engine)
+    nodes, _stats = run_protocol(
+        graph,
+        _InboxRecorder,
+        options=RunOptions(engine=engine),
+    )
     for node in nodes:
         assert node.seen, "every node has neighbors, so it heard from them"
         for senders in node.seen:
@@ -259,7 +271,11 @@ def test_wake_at_timers_match_sweep():
     graph = path_graph(6)
     results = {}
     for engine in ("sweep", "event"):
-        nodes, stats = run_protocol(graph, _TimerChain, engine=engine)
+        nodes, stats = run_protocol(
+            graph,
+            _TimerChain,
+            options=RunOptions(engine=engine),
+        )
         results[engine] = (
             [(n.fired_at, n.received_at) for n in nodes],
             stats.rounds,
@@ -278,7 +294,11 @@ def test_wake_at_rejects_non_future_rounds():
             ctx.wake_at(ctx.round_number)  # not strictly in the future
 
     with pytest.raises(ValueError, match="not after the current round"):
-        Simulator(path_graph(2), _BadWake, engine="event").run()
+        Simulator(
+            path_graph(2),
+            _BadWake,
+            options=RunOptions(engine="event"),
+        ).run()
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +341,11 @@ class _EchoCollector(NodeAlgorithm):
 @pytest.mark.parametrize("engine", ["sweep", "event"])
 def test_passive_messages_are_billed_but_deferred(engine):
     graph = path_graph(3)  # node 0 - 1 - 2; only node 1 echoes to 0
-    nodes, stats = run_protocol(graph, _EchoCollector, engine=engine)
+    nodes, stats = run_protocol(
+        graph,
+        _EchoCollector,
+        options=RunOptions(engine=engine),
+    )
     root = nodes[0]
     assert root.echoes == 1
     # Broadcast (1 msg) + echo (1 msg) billed identically on both engines.
@@ -337,7 +361,11 @@ def test_event_engine_skips_idle_nodes_but_rounds_match():
     graph = path_graph(40)
     fingerprints = {}
     for engine in _engines_for("lfloat"):
-        result = distributed_betweenness(graph, arithmetic="lfloat", engine=engine)
+        result = distributed_betweenness(
+            graph,
+            arithmetic="lfloat",
+            options=RunOptions(engine=engine),
+        )
         fingerprints[engine] = _fingerprint(result)
     reference = fingerprints.pop("sweep")
     for engine, fingerprint in fingerprints.items():
@@ -366,7 +394,11 @@ def test_auto_without_numpy_falls_back_to_event(monkeypatch):
     from repro.engines import reset_probe
 
     reference = _fingerprint(
-        distributed_betweenness(figure1_graph(), arithmetic="lfloat", engine="sweep")
+        distributed_betweenness(
+            figure1_graph(),
+            arithmetic="lfloat",
+            options=RunOptions(engine="sweep"),
+        )
     )
     monkeypatch.setitem(sys.modules, "numpy", None)
     reset_probe()
@@ -391,7 +423,9 @@ def test_explicit_bulk_rejects_exact_arithmetic():
 
     with pytest.raises(EngineCapabilityError, match="L-float"):
         distributed_betweenness(
-            figure1_graph(), arithmetic="exact", engine="bulk"
+            figure1_graph(),
+            arithmetic="exact",
+            options=RunOptions(engine="bulk"),
         )
 
 
@@ -406,7 +440,9 @@ def test_explicit_bulk_without_numpy_raises(monkeypatch):
     try:
         with pytest.raises(EngineCapabilityError, match="numpy"):
             distributed_betweenness(
-                figure1_graph(), arithmetic="lfloat", engine="bulk"
+                figure1_graph(),
+                arithmetic="lfloat",
+                options=RunOptions(engine="bulk"),
             )
     finally:
         monkeypatch.undo()
@@ -471,7 +507,10 @@ def test_tracer_streams_identical_across_engines(graph):
     for engine in _engines_for("lfloat"):
         tracer = Tracer()
         distributed_betweenness(
-            graph, arithmetic="lfloat", engine=engine, tracer=tracer
+            graph,
+            arithmetic="lfloat",
+            options=RunOptions(engine=engine),
+            tracer=tracer,
         )
         assert not tracer.truncated
         streams[engine] = tracer.deliveries()

@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.congest.options import RunOptions
 import repro.exceptions as exceptions_module
 from repro.core import distributed_betweenness
 from repro.exceptions import CongestViolationError, ReproError
@@ -78,9 +79,7 @@ def test_budget_violation_is_the_same_error_on_every_engine(engine, kwargs):
         distributed_betweenness(
             grid_graph(8, 8),
             arithmetic="exact",
-            congest_factor=6,
-            engine=engine,
-            **kwargs,
+            options=RunOptions(engine=engine, congest_factor=6, **kwargs),
         )
     error = excinfo.value
     assert (

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness, distributed_sampled_betweenness
 from repro.exceptions import (
     FrameChecksumError,
@@ -204,12 +205,15 @@ class TestZeroFaultIdentity:
         graph = connected_erdos_renyi_graph(14, 0.25, seed=1)
         base_trace, zero_trace = Tracer(), Tracer()
         baseline = distributed_betweenness(
-            graph, arithmetic="exact", engine=engine, tracer=base_trace
+            graph,
+            arithmetic="exact",
+            options=RunOptions(engine=engine),
+            tracer=base_trace,
         )
         zero = distributed_betweenness(
             graph,
             arithmetic="exact",
-            engine=engine,
+            options=RunOptions(engine=engine),
             faults=FaultPlan(seed=9),
             tracer=zero_trace,
         )
@@ -224,10 +228,15 @@ class TestZeroFaultIdentity:
     def test_resilient_zero_fault_matches_reliable(self, engine):
         graph = figure1_graph()
         reliable = distributed_betweenness(
-            graph, arithmetic="exact", engine=engine
+            graph,
+            arithmetic="exact",
+            options=RunOptions(engine=engine),
         )
         resilient = distributed_betweenness(
-            graph, arithmetic="exact", engine=engine, resilient=True
+            graph,
+            arithmetic="exact",
+            options=RunOptions(engine=engine),
+            resilient=True,
         )
         assert resilient.betweenness_exact == reliable.betweenness_exact
         assert resilient.diameter == reliable.diameter
@@ -254,7 +263,7 @@ class TestDeterminism:
             result = distributed_betweenness(
                 graph,
                 arithmetic="exact",
-                engine=engine,
+                options=RunOptions(engine=engine),
                 faults=plan,
                 resilient=True,
             )
@@ -334,12 +343,14 @@ class TestRecovery:
     def test_recovered_bc_is_exact(self, engine, plan):
         graph = figure1_graph()
         reference = distributed_betweenness(
-            graph, arithmetic="exact", engine=engine
+            graph,
+            arithmetic="exact",
+            options=RunOptions(engine=engine),
         )
         recovered = distributed_betweenness(
             graph,
             arithmetic="exact",
-            engine=engine,
+            options=RunOptions(engine=engine),
             faults=plan,
             resilient=True,
         )
@@ -381,7 +392,7 @@ class TestGracefulDegradation:
         result = distributed_betweenness(
             graph,
             arithmetic="exact",
-            engine=engine,
+            options=RunOptions(engine=engine),
             faults=FaultPlan(seed=1, crashes=(CrashWindow(3, 40, None),)),
             resilient=True,
         )

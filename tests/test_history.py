@@ -12,6 +12,7 @@ exactly; wall-clock ratios get configurable headroom.
 import json
 
 from repro.cli import main
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.graphs import cycle_graph, path_graph
 from repro.obs import (
@@ -95,7 +96,10 @@ class TestLedger:
     def test_append_and_latest_by_key(self, tmp_path):
         ledger = HistoryLedger(tmp_path / "history.jsonl")
         graph = cycle_graph(10)
-        result = distributed_betweenness(graph, engine="event")
+        result = distributed_betweenness(
+            graph,
+            options=RunOptions(engine="event"),
+        )
         entry = entry_from_result(
             result, graph, CONFIG, git_rev="abc", wall_seconds=0.5
         )
@@ -112,7 +116,10 @@ class TestLedger:
         keys = set()
         for _ in range(2):
             graph = cycle_graph(10)
-            result = distributed_betweenness(graph, engine="event")
+            result = distributed_betweenness(
+                graph,
+                options=RunOptions(engine="event"),
+            )
             stored = ledger.append(
                 entry_from_result(result, graph, CONFIG, git_rev="abc")
             )

@@ -10,6 +10,7 @@ machine-checked version of the paper's motivation for Section VI.
 import pytest
 
 from repro.centrality import brandes_betweenness
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.exceptions import CongestViolationError
 from repro.graphs import diamond_chain_graph
@@ -27,19 +28,25 @@ class TestLargeValueChallenge:
     def test_exact_arithmetic_violates_congest(self):
         with pytest.raises(CongestViolationError) as err:
             distributed_betweenness(
-                CHAIN, arithmetic="exact", congest_factor=FACTOR
+                CHAIN,
+                arithmetic="exact",
+                options=RunOptions(congest_factor=FACTOR),
             )
         assert err.value.bits_used > err.value.bits_allowed
 
     def test_lfloat_fits_same_budget(self):
         result = distributed_betweenness(
-            CHAIN, arithmetic="lfloat-8", congest_factor=FACTOR
+            CHAIN,
+            arithmetic="lfloat-8",
+            options=RunOptions(congest_factor=FACTOR),
         )
         assert result.stats.max_edge_bits_per_round <= FACTOR * 8
 
     def test_lfloat_still_accurate(self):
         result = distributed_betweenness(
-            CHAIN, arithmetic="lfloat", congest_factor=32
+            CHAIN,
+            arithmetic="lfloat",
+            options=RunOptions(congest_factor=32),
         )
         reference = brandes_betweenness(CHAIN, exact=True)
         for v in CHAIN.nodes():
@@ -51,7 +58,9 @@ class TestLargeValueChallenge:
         """Without enforcement the exact run still gets the right answer —
         the CONGEST model is what makes big values a *distributed* problem."""
         result = distributed_betweenness(
-            diamond_chain_graph(12), arithmetic="exact", strict=False
+            diamond_chain_graph(12),
+            arithmetic="exact",
+            options=RunOptions(strict=False),
         )
         reference = brandes_betweenness(diamond_chain_graph(12), exact=True)
         assert result.betweenness_exact == reference

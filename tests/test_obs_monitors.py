@@ -19,6 +19,7 @@ import pytest
 from repro.arithmetic.context import make_context
 from repro.centrality import brandes_betweenness
 from repro.congest import Message, NodeAlgorithm, Simulator
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.wire import AggValue
 from repro.exceptions import InvariantViolationError
@@ -83,7 +84,7 @@ def _run_injection(node_class, monitor, strict=False):
     simulator = Simulator(
         graph,
         lambda node_id, neighbors: node_class(node_id, neighbors),
-        strict=strict,
+        options=RunOptions(engine="sweep", strict=strict),
         telemetry=Telemetry(monitors=[monitor]),
     )
     simulator.run()
@@ -202,7 +203,7 @@ def test_clean_run_passes_all_monitors(engine):
     result = distributed_betweenness(
         karate_club_graph(),
         arithmetic="lfloat",
-        engine=engine,
+        options=RunOptions(engine=engine),
         telemetry=telemetry,
     )
     assert telemetry.all_ok()

@@ -16,6 +16,7 @@ import pickle
 import pytest
 
 from repro.centrality import brandes_betweenness
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.core.node import BetweennessNode, make_node_factory
 from repro.arithmetic.context import make_context
@@ -117,7 +118,9 @@ class TestDispatcherProtocolGate:
         graph = path_graph(6)
         ctx = make_context("lfloat", graph.num_nodes)
         sim = Simulator(
-            graph, CFP_BC.build_factory(0, ctx), engine="auto"
+            graph,
+            CFP_BC.build_factory(0, ctx),
+            options=RunOptions(engine="auto"),
         )
         assert sim.engine == "event"
         assert "cfp-bc" in sim.engine_decision.reason
@@ -129,7 +132,11 @@ class TestDispatcherProtocolGate:
         graph = path_graph(6)
         ctx = make_context("lfloat", graph.num_nodes)
         with pytest.raises(EngineCapabilityError, match="cfp-bc"):
-            Simulator(graph, CFP_BC.build_factory(0, ctx), engine="bulk")
+            Simulator(
+                graph,
+                CFP_BC.build_factory(0, ctx),
+                options=RunOptions(engine="bulk"),
+            )
 
     def test_unregistered_custom_node_still_falls_back(self):
         class CustomNode(BetweennessNode):
@@ -138,7 +145,7 @@ class TestDispatcherProtocolGate:
         graph = path_graph(6)
         ctx = make_context("lfloat", graph.num_nodes)
         factory = make_node_factory(0, ctx, node_class=CustomNode)
-        sim = Simulator(graph, factory, engine="auto")
+        sim = Simulator(graph, factory, options=RunOptions(engine="auto"))
         assert sim.protocol is None
         assert sim.engine == "event"
 
@@ -147,7 +154,9 @@ class TestDispatcherProtocolGate:
     )
     def test_auto_with_hua_still_takes_bulk(self):
         result = distributed_betweenness(
-            path_graph(8), engine="auto", protocol="hua-bc"
+            path_graph(8),
+            options=RunOptions(engine="auto"),
+            protocol="hua-bc",
         )
         assert result.stats.engine == "bulk"
 
@@ -157,7 +166,7 @@ class TestDispatcherProtocolGate:
         telemetry = Telemetry()
         distributed_betweenness(
             path_graph(6),
-            engine="auto",
+            options=RunOptions(engine="auto"),
             protocol="cfp-bc",
             telemetry=telemetry,
         )
@@ -189,7 +198,7 @@ class TestPipelineThreading:
                 protocol=closed,
                 faults=FaultPlan(seed=1, drop_rate=0.05),
                 resilient=True,
-                engine="event",
+                options=RunOptions(engine="event"),
             )
 
     def test_telemetry_exports_ledger_storage_gauges(self):
@@ -197,7 +206,11 @@ class TestPipelineThreading:
 
         telemetry = Telemetry()
         graph = path_graph(6)
-        distributed_betweenness(graph, telemetry=telemetry, engine="event")
+        distributed_betweenness(
+            graph,
+            telemetry=telemetry,
+            options=RunOptions(engine="event"),
+        )
         records = telemetry.registry.gauge("ledger.records").value
         words = telemetry.registry.gauge("ledger.words").value
         # Full protocol: every node holds one record per source.
@@ -219,8 +232,15 @@ class TestPipelineThreading:
         from repro.obs.history import entry_from_result
 
         graph = path_graph(6)
-        hua = distributed_betweenness(graph, engine="event")
-        cfp = distributed_betweenness(graph, engine="event", protocol="cfp-bc")
+        hua = distributed_betweenness(
+            graph,
+            options=RunOptions(engine="event"),
+        )
+        cfp = distributed_betweenness(
+            graph,
+            options=RunOptions(engine="event"),
+            protocol="cfp-bc",
+        )
         entry_hua = entry_from_result(hua, graph)
         entry_cfp = entry_from_result(cfp, graph)
         assert entry_hua["config"]["protocol"] == "hua-bc"
@@ -242,7 +262,10 @@ class TestDifferentialMatrix:
         outputs = {}
         for name in protocol_names():
             result = distributed_betweenness(
-                graph, arithmetic="exact", engine=engine, protocol=name
+                graph,
+                arithmetic="exact",
+                options=RunOptions(engine=engine),
+                protocol=name,
             )
             assert result.betweenness_exact == reference, (
                 "{} vs Brandes on {} ({})".format(name, graph.name, engine)
@@ -271,7 +294,10 @@ class TestDifferentialMatrix:
         for name in ("hua-bc", "cfp-bc"):
             tracer = Tracer(capture_payloads=True)
             distributed_betweenness(
-                graph, engine="event", tracer=tracer, protocol=name
+                graph,
+                options=RunOptions(engine="event"),
+                tracer=tracer,
+                protocol=name,
             )
             traces[name] = tracer
         divergence = first_divergence(
@@ -287,11 +313,13 @@ class TestDifferentialMatrix:
         graph = grid_graph(3, 3)
         plan = FaultPlan(seed=5, drop_rate=0.08, duplicate_rate=0.03)
         clean = distributed_betweenness(
-            graph, engine="event", protocol=name
+            graph,
+            options=RunOptions(engine="event"),
+            protocol=name,
         )
         recovered = distributed_betweenness(
             graph,
-            engine="event",
+            options=RunOptions(engine="event"),
             protocol=name,
             faults=plan,
             resilient=True,
@@ -308,7 +336,9 @@ class TestDifferentialMatrix:
         graph = path_graph(6)
         ctx = make_context("lfloat", graph.num_nodes)
         sim = Simulator(
-            graph, CFP_BC.build_factory(0, ctx), engine="event"
+            graph,
+            CFP_BC.build_factory(0, ctx),
+            options=RunOptions(engine="event"),
         )
         schedule = schedule_for_simulator(sim)
         assert schedule is not None
@@ -322,7 +352,9 @@ class TestDifferentialMatrix:
         ctx = make_context("lfloat", graph.num_nodes)
         blind = dataclasses.replace(CFP_BC, name="cfp-blind", schedule=None)
         sim = Simulator(
-            graph, blind.build_factory(0, ctx), engine="event",
+            graph,
+            blind.build_factory(0, ctx),
+            options=RunOptions(engine="event"),
             protocol=blind,
         )
         assert schedule_for_simulator(sim) is None

@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.congest.options import RunOptions
 from repro.core.records import (
     LedgerRow,
     NodeLedger,
@@ -158,7 +159,8 @@ class TestBulkLedgerLaziness:
         from repro.graphs import path_graph
 
         result = distributed_betweenness(
-            path_graph(6), engine="bulk"
+            path_graph(6),
+            options=RunOptions(engine="bulk"),
         )
         return result.nodes
 

@@ -16,6 +16,7 @@ import types
 
 import pytest
 
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.exceptions import CheckpointError, CheckpointPause, EngineCapabilityError
 from repro.faults import CrashWindow, FaultPlan, SlowWorker, WorkerHang
@@ -195,8 +196,10 @@ class TestSupervisionConfig:
         with pytest.raises(EngineCapabilityError, match="shard"):
             distributed_betweenness(
                 figure1_graph(),
-                engine="event",
-                supervision=SupervisionConfig(max_restarts=1),
+                options=RunOptions(
+                    engine="event",
+                    supervision=SupervisionConfig(max_restarts=1),
+                ),
             )
 
     def test_infra_fault_validation(self):
@@ -223,18 +226,22 @@ class TestPauseResume:
     def test_resume_is_bit_identical(self, graph, protocol, tmp_path):
         reference = _fingerprint(
             distributed_betweenness(
-                graph, engine="shard", workers=3, protocol=protocol
+                graph,
+                options=RunOptions(engine="shard", workers=3),
+                protocol=protocol,
             )
         )
         # A fully-supervised run writes checkpoints but changes nothing.
         supervised = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
-            protocol=protocol,
-            supervision=SupervisionConfig(
-                checkpoint_every=3, checkpoint_dir=str(tmp_path)
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    checkpoint_every=3, checkpoint_dir=str(tmp_path)
+                ),
             ),
+            protocol=protocol,
         )
         assert _fingerprint(supervised) == reference
         assert supervised.stats.supervisor["checkpoints_written"] > 0
@@ -243,10 +250,12 @@ class TestPauseResume:
         ckpt = resolve_checkpoint(tmp_path)
         resumed = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(resume_from=str(ckpt)),
+            ),
             protocol=protocol,
-            supervision=SupervisionConfig(resume_from=str(ckpt)),
         )
         assert _fingerprint(resumed) == reference
         assert resumed.stats.supervisor["resumed_from"] == read_manifest(
@@ -262,7 +271,8 @@ class TestPauseResume:
         )
         with pytest.raises(CheckpointPause) as excinfo:
             distributed_betweenness(
-                graph, engine="shard", workers=3, supervision=sup
+                graph,
+                options=RunOptions(engine="shard", workers=3, supervision=sup),
             )
         pause = excinfo.value
         assert pause.round_number == 10
@@ -270,14 +280,19 @@ class TestPauseResume:
         manifest, _files = load_checkpoint(pause.checkpoint_path)
         assert manifest["round"] == 10
         reference = _fingerprint(
-            distributed_betweenness(graph, engine="shard", workers=3)
+            distributed_betweenness(
+                graph,
+                options=RunOptions(engine="shard", workers=3),
+            )
         )
         resumed = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
-            supervision=SupervisionConfig(
-                resume_from=str(pause.checkpoint_path)
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    resume_from=str(pause.checkpoint_path)
+                ),
             ),
         )
         assert _fingerprint(resumed) == reference
@@ -294,8 +309,7 @@ class TestPauseResume:
         reference = _fingerprint(
             distributed_betweenness(
                 graph,
-                engine="shard",
-                workers=3,
+                options=RunOptions(engine="shard", workers=3),
                 protocol=protocol,
                 faults=plan,
                 resilient=True,
@@ -303,26 +317,30 @@ class TestPauseResume:
         )
         supervised = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    checkpoint_every=4, checkpoint_dir=str(tmp_path)
+                ),
+            ),
             protocol=protocol,
             faults=plan,
             resilient=True,
-            supervision=SupervisionConfig(
-                checkpoint_every=4, checkpoint_dir=str(tmp_path)
-            ),
         )
         assert _fingerprint(supervised) == reference
         resumed = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    resume_from=str(resolve_checkpoint(tmp_path))
+                ),
+            ),
             protocol=protocol,
             faults=plan,
             resilient=True,
-            supervision=SupervisionConfig(
-                resume_from=str(resolve_checkpoint(tmp_path))
-            ),
         )
         assert _fingerprint(resumed) == reference
 
@@ -332,22 +350,27 @@ class TestPauseResume:
             checkpoint_every=3, checkpoint_dir=str(tmp_path)
         )
         distributed_betweenness(
-            graph, engine="shard", workers=3, supervision=sup
+            graph,
+            options=RunOptions(engine="shard", workers=3, supervision=sup),
         )
         ckpt = resolve_checkpoint(tmp_path)
         with pytest.raises(CheckpointError, match="different run"):
             distributed_betweenness(
                 path_graph(12),  # different graph entirely
-                engine="shard",
-                workers=3,
-                supervision=SupervisionConfig(resume_from=str(ckpt)),
+                options=RunOptions(
+                    engine="shard",
+                    workers=3,
+                    supervision=SupervisionConfig(resume_from=str(ckpt)),
+                ),
             )
         with pytest.raises(CheckpointError, match="different run"):
             distributed_betweenness(
                 graph,
-                engine="shard",
-                workers=4,  # different worker count
-                supervision=SupervisionConfig(resume_from=str(ckpt)),
+                options=RunOptions(
+                    engine="shard",
+                    workers=4,  # different worker count
+                    supervision=SupervisionConfig(resume_from=str(ckpt)),
+                ),
             )
 
 
@@ -360,22 +383,26 @@ class TestWatchdog:
         graph = cycle_graph(12)
         reference = _fingerprint(
             distributed_betweenness(
-                graph, engine="shard", workers=3, protocol=protocol
+                graph,
+                options=RunOptions(engine="shard", workers=3),
+                protocol=protocol,
             )
         )
         plan = FaultPlan(seed=7, worker_hangs=(WorkerHang(shard=1, round=9),))
         recovered = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    heartbeat_timeout=0.5,
+                    max_restarts=2,
+                    checkpoint_every=4,
+                    checkpoint_dir=str(tmp_path),
+                ),
+            ),
             protocol=protocol,
             faults=plan,
-            supervision=SupervisionConfig(
-                heartbeat_timeout=0.5,
-                max_restarts=2,
-                checkpoint_every=4,
-                checkpoint_dir=str(tmp_path),
-            ),
         )
         assert _fingerprint_sans_faults(recovered) == reference
         sup = recovered.stats.supervisor
@@ -388,17 +415,22 @@ class TestWatchdog:
     def test_hang_without_checkpoints_replays_from_round_zero(self):
         graph = cycle_graph(10)
         reference = _fingerprint(
-            distributed_betweenness(graph, engine="shard", workers=3)
+            distributed_betweenness(
+                graph,
+                options=RunOptions(engine="shard", workers=3),
+            )
         )
         plan = FaultPlan(seed=3, worker_hangs=(WorkerHang(shard=2, round=6),))
         recovered = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
-            faults=plan,
-            supervision=SupervisionConfig(
-                heartbeat_timeout=0.5, max_restarts=1
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    heartbeat_timeout=0.5, max_restarts=1
+                ),
             ),
+            faults=plan,
         )
         assert _fingerprint_sans_faults(recovered) == reference
         assert recovered.stats.supervisor["restarts"] == 1
@@ -406,19 +438,24 @@ class TestWatchdog:
     def test_repeat_hang_consumes_budget_then_succeeds(self):
         graph = cycle_graph(10)
         reference = _fingerprint(
-            distributed_betweenness(graph, engine="shard", workers=3)
+            distributed_betweenness(
+                graph,
+                options=RunOptions(engine="shard", workers=3),
+            )
         )
         plan = FaultPlan(
             seed=5, worker_hangs=(WorkerHang(shard=1, round=5, repeats=2),)
         )
         recovered = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
-            faults=plan,
-            supervision=SupervisionConfig(
-                heartbeat_timeout=0.5, max_restarts=3, backoff_base=0.01
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    heartbeat_timeout=0.5, max_restarts=3, backoff_base=0.01
+                ),
             ),
+            faults=plan,
         )
         assert _fingerprint_sans_faults(recovered) == reference
         assert recovered.stats.supervisor["restarts"] == 2
@@ -427,17 +464,22 @@ class TestWatchdog:
     def test_slow_worker_is_not_a_false_positive(self):
         graph = cycle_graph(10)
         reference = _fingerprint(
-            distributed_betweenness(graph, engine="shard", workers=3)
+            distributed_betweenness(
+                graph,
+                options=RunOptions(engine="shard", workers=3),
+            )
         )
         plan = FaultPlan(
             seed=9, slow_workers=(SlowWorker(shard=1, round=4, delay=1.2),)
         )
         tolerated = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(heartbeat_timeout=0.5),
+            ),
             faults=plan,
-            supervision=SupervisionConfig(heartbeat_timeout=0.5),
         )
         # The straggler keeps heartbeating through its delay, so the
         # watchdog must wait it out rather than declare it hung.
@@ -452,13 +494,15 @@ class TestWatchdog:
         )
         result = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    heartbeat_timeout=0.5, max_restarts=0
+                ),
+            ),
             faults=plan,
             resilient=True,
-            supervision=SupervisionConfig(
-                heartbeat_timeout=0.5, max_restarts=0
-            ),
         )
         # No restart budget: the shard is abandoned and the run returns
         # a partial CompletenessReport instead of stalling forever.
@@ -471,7 +515,10 @@ class TestWatchdog:
     def test_corrupt_newest_checkpoint_falls_back_to_older(self, tmp_path):
         graph = cycle_graph(12)
         reference = _fingerprint(
-            distributed_betweenness(graph, engine="shard", workers=3)
+            distributed_betweenness(
+                graph,
+                options=RunOptions(engine="shard", workers=3),
+            )
         )
         # Every snapshot this plan writes at round 8 is corrupted on
         # disk right after the write; the hang at round 9 then forces a
@@ -483,15 +530,17 @@ class TestWatchdog:
         )
         recovered = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
-            faults=plan,
-            supervision=SupervisionConfig(
-                heartbeat_timeout=0.5,
-                max_restarts=2,
-                checkpoint_every=4,
-                checkpoint_dir=str(tmp_path),
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    heartbeat_timeout=0.5,
+                    max_restarts=2,
+                    checkpoint_every=4,
+                    checkpoint_dir=str(tmp_path),
+                ),
             ),
+            faults=plan,
         )
         assert _fingerprint_sans_faults(recovered) == reference
         assert recovered.stats.supervisor["restarts"] == 1
@@ -536,16 +585,21 @@ class TestShutdownEscalation:
 class TestHistoryFields:
     def test_restart_and_resume_fields_do_not_fork_the_key(self, tmp_path):
         graph = cycle_graph(12)
-        plain = distributed_betweenness(graph, engine="shard", workers=3)
+        plain = distributed_betweenness(
+            graph,
+            options=RunOptions(engine="shard", workers=3),
+        )
         plan = FaultPlan(seed=7, worker_hangs=(WorkerHang(shard=1, round=9),))
         recovered = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
-            faults=plan,
-            supervision=SupervisionConfig(
-                heartbeat_timeout=0.5, max_restarts=1
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    heartbeat_timeout=0.5, max_restarts=1
+                ),
             ),
+            faults=plan,
         )
         entry_plain = entry_from_result(plain, graph, git_rev="t")
         entry_rec = entry_from_result(recovered, graph, git_rev="t")
@@ -559,18 +613,22 @@ class TestHistoryFields:
         # resumed run against its uninterrupted twin instead.
         supervised = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
-            supervision=SupervisionConfig(
-                checkpoint_every=4, checkpoint_dir=str(tmp_path)
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    checkpoint_every=4, checkpoint_dir=str(tmp_path)
+                ),
             ),
         )
         resumed = distributed_betweenness(
             graph,
-            engine="shard",
-            workers=3,
-            supervision=SupervisionConfig(
-                resume_from=str(resolve_checkpoint(tmp_path))
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    resume_from=str(resolve_checkpoint(tmp_path))
+                ),
             ),
         )
         entry_sup = entry_from_result(supervised, graph, git_rev="t")

@@ -10,6 +10,7 @@ series, fault counters, and the stall/partial surfaces all byte-equal.
 
 import pytest
 
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.exceptions import EngineCapabilityError
 from repro.faults import CrashWindow, FaultPlan
@@ -111,15 +112,17 @@ class TestShardIdentity:
     def test_matrix_identical_to_event(self, graph, workers, protocol):
         reference = _fingerprint(
             distributed_betweenness(
-                graph, arithmetic="lfloat", engine="event", protocol=protocol
+                graph,
+                arithmetic="lfloat",
+                options=RunOptions(engine="event"),
+                protocol=protocol,
             )
         )
         sharded = _fingerprint(
             distributed_betweenness(
                 graph,
                 arithmetic="lfloat",
-                engine="shard",
-                workers=workers,
+                options=RunOptions(engine="shard", workers=workers),
                 protocol=protocol,
             )
         )
@@ -131,16 +134,20 @@ class TestShardIdentity:
         graph = connected_erdos_renyi_graph(16, 0.2, seed=2)
         reference = _fingerprint(
             distributed_betweenness(
-                graph, arithmetic=arithmetic, engine="event"
+                graph,
+                arithmetic=arithmetic,
+                options=RunOptions(engine="event"),
             )
         )
         sharded = _fingerprint(
             distributed_betweenness(
                 graph,
                 arithmetic=arithmetic,
-                engine="shard",
-                workers=3,
-                partitioner=kind,
+                options=RunOptions(
+                    engine="shard",
+                    workers=3,
+                    partitioner=kind,
+                ),
             )
         )
         assert sharded == reference
@@ -148,9 +155,12 @@ class TestShardIdentity:
     def test_single_worker_shard_is_the_event_engine(self):
         graph = figure1_graph()
         reference = _fingerprint(
-            distributed_betweenness(graph, engine="event")
+            distributed_betweenness(graph, options=RunOptions(engine="event"))
         )
-        sharded = distributed_betweenness(graph, engine="shard", workers=1)
+        sharded = distributed_betweenness(
+            graph,
+            options=RunOptions(engine="shard", workers=1),
+        )
         assert _fingerprint(sharded) == reference
         assert sharded.stats.engine == "shard"
         assert sharded.stats.shard["workers"] == 1
@@ -158,7 +168,10 @@ class TestShardIdentity:
 
     def test_shard_summary_accounts_for_the_cut(self):
         graph = cycle_graph(10)
-        result = distributed_betweenness(graph, engine="shard", workers=2)
+        result = distributed_betweenness(
+            graph,
+            options=RunOptions(engine="shard", workers=2),
+        )
         shard = result.stats.shard
         assert shard["edge_cut"] == edge_cut(
             graph, partition_nodes(graph, 2, "greedy")[0]
@@ -179,8 +192,7 @@ class TestShardFaults:
         recovered = distributed_betweenness(
             graph,
             arithmetic="exact",
-            engine="shard",
-            workers=3,
+            options=RunOptions(engine="shard", workers=3),
             faults=plan,
             resilient=True,
         )
@@ -196,8 +208,7 @@ class TestShardFaults:
             return distributed_betweenness(
                 graph,
                 arithmetic="lfloat",
-                engine=engine,
-                workers=workers,
+                options=RunOptions(engine=engine, workers=workers),
                 faults=plan,
                 resilient=True,
             )
@@ -224,10 +235,9 @@ class TestShardFaults:
             return distributed_betweenness(
                 graph,
                 arithmetic="lfloat",
-                engine=engine,
+                options=RunOptions(engine=engine, **kwargs),
                 faults=plan,
                 resilient=True,
-                **kwargs,
             )
 
         reference = run("event")
@@ -256,7 +266,8 @@ class TestShardFaults:
 class TestShardEnvelope:
     def test_auto_never_resolves_to_shard(self):
         result = distributed_betweenness(
-            figure1_graph(), engine="auto", workers=4
+            figure1_graph(),
+            options=RunOptions(engine="auto", workers=4),
         )
         assert result.stats.engine != "shard"
 
@@ -266,8 +277,7 @@ class TestShardEnvelope:
         with pytest.raises(EngineCapabilityError, match="tracer"):
             distributed_betweenness(
                 figure1_graph(),
-                engine="shard",
-                workers=2,
+                options=RunOptions(engine="shard", workers=2),
                 tracer=Tracer(),
             )
 
@@ -278,8 +288,7 @@ class TestShardEnvelope:
         with pytest.raises(EngineCapabilityError, match="send-level"):
             distributed_betweenness(
                 figure1_graph(),
-                engine="shard",
-                workers=2,
+                options=RunOptions(engine="shard", workers=2),
                 telemetry=Telemetry(monitors=[WireExactnessMonitor()]),
             )
 
@@ -287,7 +296,10 @@ class TestShardEnvelope:
         from repro.core import distributed_apsp
 
         with pytest.raises(EngineCapabilityError, match="ledger"):
-            distributed_apsp(figure1_graph(), engine="shard", workers=2)
+            distributed_apsp(
+                figure1_graph(),
+                options=RunOptions(engine="shard", workers=2),
+            )
 
     def test_foreign_node_algorithms_rejected(self):
         from repro.congest import NodeAlgorithm, Simulator
@@ -299,17 +311,25 @@ class TestShardEnvelope:
 
         with pytest.raises(EngineCapabilityError, match="BetweennessNode"):
             Simulator(
-                figure1_graph(), lambda v, g: Silent(v, g), engine="shard"
+                figure1_graph(),
+                lambda v, g: Silent(v, g),
+                options=RunOptions(engine="shard"),
             ).run()
 
     def test_bad_worker_counts_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             distributed_betweenness(
-                figure1_graph(), engine="shard", workers=0
+                figure1_graph(),
+                options=RunOptions(engine="shard", workers=0),
             )
         with pytest.raises(ValueError, match="partitioner"):
             distributed_betweenness(
-                figure1_graph(), engine="shard", workers=2, partitioner="metis"
+                figure1_graph(),
+                options=RunOptions(
+                    engine="shard",
+                    workers=2,
+                    partitioner="metis",
+                ),
             )
 
 
@@ -322,7 +342,9 @@ class TestShardObservability:
 
         telemetry = Telemetry()
         result = distributed_betweenness(
-            cycle_graph(8), engine="shard", workers=2, telemetry=telemetry
+            cycle_graph(8),
+            options=RunOptions(engine="shard", workers=2),
+            telemetry=telemetry,
         )
         snap = telemetry.registry.snapshot()
         assert snap["shard.workers"]["value"] == 2
@@ -338,8 +360,14 @@ class TestShardObservability:
         from repro.obs.history import entry_from_result
 
         graph = figure1_graph()
-        one = distributed_betweenness(graph, engine="shard", workers=1)
-        four = distributed_betweenness(graph, engine="shard", workers=4)
+        one = distributed_betweenness(
+            graph,
+            options=RunOptions(engine="shard", workers=1),
+        )
+        four = distributed_betweenness(
+            graph,
+            options=RunOptions(engine="shard", workers=4),
+        )
         entry_one = entry_from_result(one, graph)
         entry_four = entry_from_result(four, graph)
         assert entry_one["workers"] == 1
@@ -349,7 +377,10 @@ class TestShardObservability:
         # point of keeping W out of the content address.
         for metric in ("rounds", "bits", "messages"):
             assert entry_one[metric] == entry_four[metric]
-        event = distributed_betweenness(graph, engine="event")
+        event = distributed_betweenness(
+            graph,
+            options=RunOptions(engine="event"),
+        )
         assert entry_from_result(event, graph)["workers"] == 1
 
     def test_bench_shard_ingest_and_gates(self, tmp_path):
@@ -417,12 +448,18 @@ class TestRunManyInteraction:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             records = run_many(
-                graphs, engine="shard", workers=2, processes=2
+                graphs,
+                options=RunOptions(engine="shard", workers=2),
+                processes=2,
             )
         assert any(
             "oversubscribe" in str(w.message) for w in caught
         )
-        reference = run_many(graphs, engine="event", processes=1)
+        reference = run_many(
+            graphs,
+            options=RunOptions(engine="event"),
+            processes=1,
+        )
         assert [
             (r.rounds, r.bits, r.messages) for r in records
         ] == [(r.rounds, r.bits, r.messages) for r in reference]
@@ -435,7 +472,9 @@ class TestRunManyInteraction:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             records = run_many(
-                [cycle_graph(8)], engine="shard", workers=2, processes=1
+                [cycle_graph(8)],
+                options=RunOptions(engine="shard", workers=2),
+                processes=1,
             )
         assert not any(
             "oversubscribe" in str(w.message) for w in caught

@@ -17,6 +17,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.congest.options import RunOptions
 from repro.core import distributed_betweenness
 from repro.graphs import connected_erdos_renyi_graph, cycle_graph, path_graph
 from repro.obs import (
@@ -49,7 +50,9 @@ class TestBusFanout:
             jsonl_path=str(live), progress=True, console=False
         )
         distributed_betweenness(
-            path_graph(16), engine=engine, telemetry=telemetry
+            path_graph(16),
+            options=RunOptions(engine=engine),
+            telemetry=telemetry,
         )
         telemetry.bus.close()
         streamed = [json.loads(line) for line in live.read_text().splitlines()]
@@ -64,7 +67,9 @@ class TestBusFanout:
         telemetry = Telemetry.with_streaming(progress=True, console=False)
         subscriber = telemetry.bus.subscribe()
         distributed_betweenness(
-            cycle_graph(12), engine="event", telemetry=telemetry
+            cycle_graph(12),
+            options=RunOptions(engine="event"),
+            telemetry=telemetry,
         )
         telemetry.bus.close()
         rows = subscriber.drain()
@@ -97,12 +102,17 @@ class TestBusFanout:
     @pytest.mark.parametrize("engine", ("event", "auto"))
     def test_streaming_never_perturbs_results(self, engine, tmp_path):
         graph = cycle_graph(24)
-        bare = distributed_betweenness(graph, engine=engine)
+        bare = distributed_betweenness(
+            graph,
+            options=RunOptions(engine=engine),
+        )
         telemetry = Telemetry.with_streaming(
             jsonl_path=str(tmp_path / "s.jsonl"), progress=True, console=False
         )
         streamed = distributed_betweenness(
-            graph, engine=engine, telemetry=telemetry
+            graph,
+            options=RunOptions(engine=engine),
+            telemetry=telemetry,
         )
         telemetry.bus.close()
         assert _fingerprint(streamed) == _fingerprint(bare)
@@ -132,7 +142,9 @@ class TestProgressEstimator:
         telemetry = Telemetry.with_streaming(progress=True, console=False)
         subscriber = telemetry.bus.subscribe(capacity=100_000)
         result = distributed_betweenness(
-            graph, engine=engine, telemetry=telemetry
+            graph,
+            options=RunOptions(engine=engine),
+            telemetry=telemetry,
         )
         telemetry.bus.close()
         progress = [
@@ -154,7 +166,9 @@ class TestProgressEstimator:
         telemetry = Telemetry.with_streaming(progress=True, console=False)
         subscriber = telemetry.bus.subscribe()
         result = distributed_betweenness(
-            cycle_graph(16), engine="bulk", telemetry=telemetry
+            cycle_graph(16),
+            options=RunOptions(engine="bulk"),
+            telemetry=telemetry,
         )
         telemetry.bus.close()
         progress = [
@@ -201,7 +215,9 @@ class TestStreamSchemaAndTornTail:
             jsonl_path=str(live), progress=True, console=False
         )
         distributed_betweenness(
-            path_graph(12), engine="event", telemetry=telemetry
+            path_graph(12),
+            options=RunOptions(engine="event"),
+            telemetry=telemetry,
         )
         telemetry.bus.close()
         return live
@@ -311,7 +327,7 @@ class TestCliStreaming:
         run_many(
             [build(6), build(8)],
             family="path",
-            engine="event",
+            options=RunOptions(engine="event"),
             stream_dir=str(tmp_path / "streams"),
         )
         streams = sorted((tmp_path / "streams").glob("*.jsonl"))

@@ -12,6 +12,7 @@ import dataclasses
 import json
 
 from repro.cli import main
+from repro.congest.options import RunOptions
 from repro.congest.trace import Tracer
 from repro.core import distributed_betweenness
 from repro.graphs import figure1_graph, path_graph
@@ -32,7 +33,10 @@ def corrupt(tracer, index, **changes):
 def traced_run(graph, engine="sweep", capture_payloads=True, arithmetic="exact"):
     tracer = Tracer(capture_payloads=capture_payloads)
     distributed_betweenness(
-        graph, engine=engine, arithmetic=arithmetic, tracer=tracer
+        graph,
+        options=RunOptions(engine=engine),
+        arithmetic=arithmetic,
+        tracer=tracer,
     )
     return tracer
 
@@ -228,7 +232,9 @@ class TestChromeTrace:
         telemetry = Telemetry.with_streaming(progress=True, console=False)
         subscriber = telemetry.bus.subscribe(capacity=100_000)
         distributed_betweenness(
-            path_graph(10), engine="event", telemetry=telemetry
+            path_graph(10),
+            options=RunOptions(engine="event"),
+            telemetry=telemetry,
         )
         telemetry.bus.close()
         return subscriber.drain()

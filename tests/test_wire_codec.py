@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from repro.arithmetic import ExactContext, LFloat, LFloatArithmetic, Rounding
+from repro.congest.options import RunOptions
 from repro.congest.primitives import Decide, Echo, Join, Wave
 from repro.core import distributed_betweenness
 from repro.exceptions import WireCodecError
@@ -350,7 +351,9 @@ def test_same_fields_discriminates_types_and_values():
 @pytest.mark.parametrize("mode", ["exact", "lfloat"])
 def test_frame_audit_passes_on_a_clean_run(mode):
     result = distributed_betweenness(
-        figure1_graph(), arithmetic=mode, frame_audit=True
+        figure1_graph(),
+        arithmetic=mode,
+        options=RunOptions(frame_audit=True),
     )
     assert result.rounds > 0  # ran to completion with every frame checked
 
@@ -383,6 +386,10 @@ def test_frame_audit_catches_a_dishonest_bit_size():
                 ctx.send(1, Dishonest(1000))
             self.done = True
 
-    simulator = Simulator(path_graph(2), Sender, frame_audit=True)
+    simulator = Simulator(
+        path_graph(2),
+        Sender,
+        options=RunOptions(engine="sweep", frame_audit=True),
+    )
     with pytest.raises(WireCodecError, match="charged"):
         simulator.run()
