@@ -119,10 +119,25 @@ def measure_recovery_overhead(drop_rates=DROP_RATES, seed=7):
 
 
 def write_json(disabled, recovery, path=OUTPUT):
+    """Write the payload as flat ``rows``, one per gated measurement.
+
+    The ``gate`` column tells the disabled-layer row from the recovery
+    rows (one per drop rate); each recovery row carries its graph and
+    fault-free baseline round count.
+    """
+    rows = [{"gate": "disabled", **disabled}]
+    rows += [
+        {
+            "gate": "recovery",
+            "graph": recovery["graph"],
+            "baseline_rounds": recovery["baseline_rounds"],
+            **row,
+        }
+        for row in recovery["rows"]
+    ]
     payload = {
         "benchmark": "fault_layer",
-        "disabled_overhead": disabled,
-        "recovery_overhead": recovery,
+        "rows": rows,
         "summary": {
             "disabled_identical": disabled["identical_results"],
             "all_recovered_exactly": all(

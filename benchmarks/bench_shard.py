@@ -21,10 +21,8 @@ Rows therefore carry three clearly-separated figures: ``event_seconds``
 (single-process wall), ``shard_seconds`` (sharded wall — expected to be
 *larger* on one core), and ``shard_cpu_seconds`` (total CPU across the
 coordinator and all workers, via ``os.times`` children counters).
-``projected_speedup = workers * event_seconds / shard_cpu_seconds`` is
-the speedup an ideal W-core machine with perfect overlap would see —
-a projection, labelled as such, gated only softly (and not at all
-under ``--no-wall``).
+All three are measured; none is a projection of what a W-core host
+would see.
 """
 
 import json
@@ -138,9 +136,6 @@ def measure(sizes=SIZES, families=None, worker_counts=WORKER_COUNTS,
                         "event_seconds": round(event_seconds, 4),
                         "shard_seconds": round(shard_seconds, 4),
                         "shard_cpu_seconds": round(shard_cpu, 4),
-                        "projected_speedup": round(
-                            workers * event_seconds / shard_cpu, 3
-                        ) if shard_cpu > 0 else None,
                     })
     return rows
 
@@ -187,8 +182,7 @@ def write_json(rows, memory=None, path=OUTPUT):
             "measured on a {}-core container: shard_seconds is honest "
             "wall time (multi-process cannot beat single-process on one "
             "core), shard_cpu_seconds the total CPU across all "
-            "processes, projected_speedup the workers*event/cpu "
-            "projection for an ideal W-core host".format(os.cpu_count())
+            "processes".format(os.cpu_count())
         ),
         "rows": rows,
         "summary": {

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
+from benchmarks import record_in_ledger  # noqa: E402
 from benchmarks.bench_arena import (  # noqa: E402
     identical_totals,
     measure_arena,
@@ -45,17 +46,7 @@ def main() -> int:
     print_league_table(rows, "protocol arena smoke ({} reps)".format(REPS))
     print("wrote {}".format(ROOT / "BENCH_arena.json"))
 
-    from repro.obs.history import (
-        DEFAULT_HISTORY_PATH,
-        HistoryLedger,
-        git_revision,
-    )
-
-    ledger = HistoryLedger(ROOT / DEFAULT_HISTORY_PATH)
-    recorded = ledger.ingest_bench_arena(
-        payload, git_rev=git_revision(str(ROOT))
-    )
-    print("ledger: {} entries appended to {}".format(recorded, ledger.path))
+    record_in_ledger(payload)
 
     failures = []
     for row in rows:

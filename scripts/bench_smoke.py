@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
+from benchmarks import record_in_ledger  # noqa: E402
 from benchmarks.bench_engine import measure, write_json, _print_rows  # noqa: E402
 from benchmarks.bench_faults import (  # noqa: E402
     measure_disabled_overhead,
@@ -49,7 +50,7 @@ def main() -> int:
 
     engines = ("sweep", "event", "bulk") if numpy_available() else ("sweep", "event")
     rows = measure(sizes=SIZES, reps=REPS, engines=engines)
-    write_json(rows)
+    engine_payload = write_json(rows)
     _print_rows(rows, "engine smoke (best of {} interleaved reps)".format(REPS))
     print("wrote {}".format(ROOT / "BENCH_engine.json"))
 
@@ -61,23 +62,7 @@ def main() -> int:
     print_faults_report(disabled, recovery)
     print("wrote {}".format(ROOT / "BENCH_faults.json"))
 
-    # Record both payloads in the append-only run-history ledger so
-    # ``repro bench compare --ledger`` and future sessions can gate
-    # against this machine's trajectory, keyed by git revision.
-    import json
-
-    from repro.obs.history import DEFAULT_HISTORY_PATH, HistoryLedger, git_revision
-
-    ledger = HistoryLedger(ROOT / DEFAULT_HISTORY_PATH)
-    rev = git_revision(str(ROOT))
-    engine_payload = json.loads((ROOT / "BENCH_engine.json").read_text())
-    recorded = ledger.ingest_bench_engine(engine_payload, git_rev=rev)
-    recorded += ledger.ingest_bench_faults(faults_payload, git_rev=rev)
-    print(
-        "ledger: {} entries appended to {} (rev {})".format(
-            recorded, ledger.path, rev or "unknown"
-        )
-    )
+    record_in_ledger(engine_payload, faults_payload)
 
     failures = []
     for row in rows:

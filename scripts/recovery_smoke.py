@@ -22,7 +22,6 @@ Usage::
     python scripts/recovery_smoke.py       # ~2-3 min on a 1-core container
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -35,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
+from benchmarks import record_in_ledger  # noqa: E402
 from benchmarks.bench_recovery import (  # noqa: E402
     _print_rows,
     measure_overhead,
@@ -117,20 +117,7 @@ def main() -> int:
     _print_rows(rows, "recovery smoke -> BENCH_recovery.json")
     print("wrote {}".format(ROOT / "BENCH_recovery.json"))
 
-    from repro.obs.history import (
-        DEFAULT_HISTORY_PATH,
-        HistoryLedger,
-        git_revision,
-    )
-
-    ledger = HistoryLedger(ROOT / DEFAULT_HISTORY_PATH)
-    rev = git_revision(str(ROOT))
-    recorded = ledger.ingest_bench_recovery(payload, git_rev=rev)
-    print(
-        "ledger: {} entries appended to {} (rev {})".format(
-            recorded, ledger.path, rev or "unknown"
-        )
-    )
+    record_in_ledger(payload)
 
     for row in rows:
         label = "{family}-{n}/{protocol} [{scenario}]".format(**row)

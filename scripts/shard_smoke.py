@@ -31,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
+from benchmarks import record_in_ledger  # noqa: E402
 from benchmarks.bench_shard import (  # noqa: E402
     _print_rows,
     measure,
@@ -46,27 +47,11 @@ MEMORY_N = 400
 def main() -> int:
     rows = measure(sizes=SIZES, worker_counts=WORKER_COUNTS)
     memory = measure_memory_split(n=MEMORY_N)
-    write_json(rows, memory=memory)
+    payload = write_json(rows, memory=memory)
     _print_rows(rows, "shard smoke (W in {})".format(WORKER_COUNTS))
     print("wrote {}".format(ROOT / "BENCH_shard.json"))
 
-    import json
-
-    from repro.obs.history import (
-        DEFAULT_HISTORY_PATH,
-        HistoryLedger,
-        git_revision,
-    )
-
-    ledger = HistoryLedger(ROOT / DEFAULT_HISTORY_PATH)
-    rev = git_revision(str(ROOT))
-    payload = json.loads((ROOT / "BENCH_shard.json").read_text())
-    recorded = ledger.ingest_bench_shard(payload, git_rev=rev)
-    print(
-        "ledger: {} entries appended to {} (rev {})".format(
-            recorded, ledger.path, rev or "unknown"
-        )
-    )
+    record_in_ledger(payload)
 
     failures = []
     for row in rows:

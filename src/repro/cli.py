@@ -1471,20 +1471,13 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
     if args.ledger:
         from repro.obs.history import HistoryLedger, git_revision
 
-        ledger = HistoryLedger(args.ledger)
-        rev = git_revision()
-        for payload in (current,):
-            if payload.get("benchmark") == "engine_comparison":
-                ledger.ingest_bench_engine(payload, git_rev=rev)
-            elif payload.get("benchmark") == "fault_layer":
-                ledger.ingest_bench_faults(payload, git_rev=rev)
-            elif payload.get("benchmark") == "protocol_arena":
-                ledger.ingest_bench_arena(payload, git_rev=rev)
-            elif payload.get("benchmark") == "shard_runtime":
-                ledger.ingest_bench_shard(payload, git_rev=rev)
-            elif payload.get("benchmark") == "recovery":
-                ledger.ingest_bench_recovery(payload, git_rev=rev)
-        print("current payload recorded in {}".format(args.ledger))
+        try:
+            count = HistoryLedger(args.ledger).ingest(
+                current, git_rev=git_revision()
+            )
+            print("{} record(s) appended to {}".format(count, args.ledger))
+        except ValueError as err:
+            print("current payload not recorded: {}".format(err))
     if violations and args.warn_only:
         print("(warn-only: exiting 0 despite violations)")
         return 0
@@ -1502,24 +1495,30 @@ def cmd_bench_ingest(args: argparse.Namespace) -> int:
     for path in args.files:
         with open(path, "r", encoding="utf-8") as fh:
             payload = _json.load(fh)
-        kind = payload.get("benchmark")
-        if kind == "engine_comparison":
-            total += ledger.ingest_bench_engine(payload, git_rev=rev)
-        elif kind == "fault_layer":
-            total += ledger.ingest_bench_faults(payload, git_rev=rev)
-        elif kind == "protocol_arena":
-            total += ledger.ingest_bench_arena(payload, git_rev=rev)
-        elif kind == "shard_runtime":
-            total += ledger.ingest_bench_shard(payload, git_rev=rev)
-        elif kind == "recovery":
-            total += ledger.ingest_bench_recovery(payload, git_rev=rev)
-        else:
-            print(
-                "skipping {}: unknown benchmark kind {!r}".format(path, kind),
-                file=sys.stderr,
-            )
+        try:
+            total += ledger.ingest(payload, git_rev=rev)
+        except ValueError as err:
+            print("skipping {}: {}".format(path, err), file=sys.stderr)
     print("{} record(s) appended to {}".format(total, args.ledger))
     return 0
+
+
+class _BenchParser(argparse.ArgumentParser):
+    """Fills ``{payloads}`` in a description from the benchmark schema
+    table when help is shown, so building the parser never imports
+    :mod:`repro.obs`."""
+
+    def format_help(self) -> str:
+        if self.description and "{payloads}" in self.description:
+            from repro.obs.history import BENCH_SCHEMAS
+
+            self.description = self.description.format(
+                payloads=", ".join(
+                    "BENCH_{}.json".format(schema.kind[len("bench_"):])
+                    for schema in BENCH_SCHEMAS.values()
+                )
+            )
+        return super().format_help()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1858,16 +1857,16 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="benchmark history: regression gates and ledger ingestion",
     )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
+    bench_sub = p_bench.add_subparsers(
+        dest="bench_command", required=True, parser_class=_BenchParser
+    )
     p_bcmp = bench_sub.add_parser(
         "compare",
         help="gate a fresh BENCH_*.json against a committed baseline",
-        description="Compare two benchmark payloads (BENCH_engine.json, "
-        "BENCH_faults.json, BENCH_arena.json or BENCH_shard.json). "
-        "Structural metrics "
-        "(rounds, bits, messages, result identity) must match exactly; "
-        "wall-clock metrics get configurable ratio gates. Exits 1 on "
-        "any violation unless --warn-only.",
+        description="Compare two benchmark payloads ({payloads}). "
+        "Structural metrics (rounds, bits, messages, result identity) "
+        "must match exactly; wall-clock metrics get configurable ratio "
+        "gates. Exits 1 on any violation unless --warn-only.",
     )
     p_bcmp.add_argument("baseline", help="baseline payload JSON")
     p_bcmp.add_argument("current", help="freshly produced payload JSON")

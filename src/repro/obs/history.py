@@ -9,28 +9,29 @@ revision).  Two identical runs — same topology, same configuration,
 same code — therefore land under the same key, and a key whose metrics
 *change* is, by construction, a regression or an environment delta.
 
-Three record kinds share the ledger:
+Two families of record share the ledger:
 
 * ``run`` — one protocol run (ingested from a pipeline result or from
   exported repro-metrics-v1 rows);
-* ``bench_engine`` — one row of ``BENCH_engine.json`` (per family × N);
-* ``bench_faults`` — the fault-layer overhead/recovery gates of
-  ``BENCH_faults.json``;
-* ``bench_arena`` — one row of ``BENCH_arena.json`` (per protocol ×
-  family × N league-table entry);
-* ``bench_shard`` — one row of ``BENCH_shard.json`` (per family × N ×
-  protocol × worker-count sharding configuration).
+* ``bench_*`` — one row of a ``BENCH_*.json`` benchmark payload, one
+  kind per :data:`BENCH_SCHEMAS` entry: ``bench_engine``
+  (``BENCH_engine.json``), ``bench_arena`` (``BENCH_arena.json``),
+  ``bench_faults`` (``BENCH_faults.json``), ``bench_shard``
+  (``BENCH_shard.json``) and ``bench_recovery``
+  (``BENCH_recovery.json``).
 
 The registered protocol is part of every ``run`` record's config, so a
 ``hua-bc`` run and a ``cfp-bc`` run over the same graph land under
 *different* content keys and never gate against each other.
 
 The regression gates (:func:`compare_payloads`) power ``repro bench
-compare``: structural metrics (rounds, billed bits, messages,
-result-identity) must match **exactly** for an identical config — they
-are machine-independent — while wall-clock metrics get configurable
-ratio gates (speedup drop, slowdown factor) because timers are not
-portable across hosts.
+compare``.  One declared table, :data:`BENCH_SCHEMAS`, says for every
+payload kind how rows are matched and which keys are gated how:
+structural metrics (rounds, billed bits, messages, result-identity
+flags) must match **exactly** for an identical config — they are
+machine-independent — while wall-clock metrics get configurable ratio
+gates (speedup drop, slowdown factor) because timers are not portable
+across hosts.  Adding a benchmark means adding one table entry.
 """
 
 from __future__ import annotations
@@ -49,12 +50,9 @@ __all__ = [
     "HistoryLedger",
     "RegressionGates",
     "Violation",
+    "BENCH_SCHEMAS",
+    "BenchSchema",
     "MAX_CHECKPOINT_OVERHEAD",
-    "compare_bench_arena",
-    "compare_bench_engine",
-    "compare_bench_faults",
-    "compare_bench_recovery",
-    "compare_bench_shard",
     "compare_payloads",
     "entry_from_result",
     "entry_from_rows",
@@ -302,204 +300,33 @@ class HistoryLedger:
     # ------------------------------------------------------------------
     # benchmark ingestion
     # ------------------------------------------------------------------
-    def ingest_bench_engine(
+    def ingest(
         self, payload: Dict[str, Any], git_rev: Optional[str] = None
     ) -> int:
-        """Append one record per BENCH_engine.json row; returns the count."""
-        engines = payload.get("engines", [])
-        arithmetic = payload.get("arithmetic")
-        count = 0
-        for row in payload.get("rows", ()):
-            ident = {
-                "benchmark": "engine_comparison",
-                "family": row.get("family"),
-                "n": row.get("n"),
-                "engines": list(engines),
-                "arithmetic": arithmetic,
-            }
-            entry = {
-                "kind": "bench_engine",
-                "key": run_key(
-                    "bench", ident, ",".join(engines), git_rev
-                ),
-                "git_rev": git_rev,
-            }
-            entry.update(ident)
-            for metric in (
-                "rounds", "identical_results", "bits", "messages",
-                "sweep_seconds", "event_seconds", "bulk_seconds",
-                "event_speedup", "bulk_speedup",
-            ):
-                if metric in row:
-                    entry[metric] = row[metric]
-            self.append(entry)
-            count += 1
-        return count
+        """Append one record per row of a BENCH_*.json payload.
 
-    def ingest_bench_arena(
-        self, payload: Dict[str, Any], git_rev: Optional[str] = None
-    ) -> int:
-        """Append one record per BENCH_arena.json row; returns the count.
-
-        Arena rows are keyed by (protocol, family, n) so each protocol's
-        league-table entry accumulates its own trajectory.
+        A record is the row itself plus its identity — the payload's
+        ``benchmark`` marker, the schema's ``context`` keys and the
+        row's ``id_keys`` — content-addressed under the schema's ledger
+        ``kind``.  Returns the record count; raises ``ValueError`` for a
+        payload whose marker has no entry in :data:`BENCH_SCHEMAS`.
         """
-        arithmetic = payload.get("arithmetic")
-        count = 0
-        for row in payload.get("rows", ()):
-            ident = {
-                "benchmark": "protocol_arena",
-                "protocol": row.get("protocol"),
-                "family": row.get("family"),
-                "n": row.get("n"),
-                "arithmetic": arithmetic,
-            }
-            entry = {
-                "kind": "bench_arena",
-                "key": run_key(
-                    "bench", ident, row.get("engine", "auto"), git_rev
-                ),
-                "git_rev": git_rev,
-            }
+        marker = payload.get("benchmark")
+        schema = BENCH_SCHEMAS.get(marker)
+        if schema is None:
+            raise ValueError("unknown benchmark kind {!r}".format(marker))
+        context = {key: payload.get(key) for key in schema.context}
+        rows = payload.get("rows", ())
+        for row in rows:
+            ident = dict(context, benchmark=marker)
+            ident.update((key, row.get(key)) for key in schema.id_keys)
+            entry = dict(row)
             entry.update(ident)
-            for metric in (
-                "engine", "rounds", "bits", "messages", "max_edge_bits",
-                "wall_seconds", "matches_brandes",
-            ):
-                if metric in row:
-                    entry[metric] = row[metric]
+            entry["kind"] = schema.kind
+            entry["key"] = run_key("bench", ident, schema.kind, git_rev)
+            entry["git_rev"] = git_rev
             self.append(entry)
-            count += 1
-        return count
-
-    def ingest_bench_faults(
-        self, payload: Dict[str, Any], git_rev: Optional[str] = None
-    ) -> int:
-        """Append the fault-layer gate numbers; returns the record count."""
-        count = 0
-        disabled = payload.get("disabled_overhead")
-        if disabled:
-            ident = {
-                "benchmark": "fault_layer",
-                "gate": "disabled_overhead",
-                "graph": disabled.get("graph"),
-            }
-            entry = {
-                "kind": "bench_faults",
-                "key": run_key("bench", ident, "faults", git_rev),
-                "git_rev": git_rev,
-            }
-            entry.update(ident)
-            entry.update(
-                {
-                    k: disabled.get(k)
-                    for k in ("overhead_ratio", "identical_results")
-                }
-            )
-            self.append(entry)
-            count += 1
-        recovery = payload.get("recovery_overhead", {})
-        for row in recovery.get("rows", ()):
-            ident = {
-                "benchmark": "fault_layer",
-                "gate": "recovery",
-                "graph": recovery.get("graph"),
-                "drop_rate": row.get("drop_rate"),
-            }
-            entry = {
-                "kind": "bench_faults",
-                "key": run_key("bench", ident, "faults", git_rev),
-                "git_rev": git_rev,
-            }
-            entry.update(ident)
-            entry.update(
-                {
-                    k: row.get(k)
-                    for k in (
-                        "rounds", "round_overhead", "recovered_exactly",
-                        "complete", "seconds",
-                    )
-                }
-            )
-            self.append(entry)
-            count += 1
-        return count
-
-    def ingest_bench_shard(
-        self, payload: Dict[str, Any], git_rev: Optional[str] = None
-    ) -> int:
-        """Append one record per BENCH_shard.json row; returns the count.
-
-        Rows are keyed by (family, n, protocol, workers, partitioner) so
-        each sharding configuration accumulates its own trajectory.
-        """
-        arithmetic = payload.get("arithmetic")
-        count = 0
-        for row in payload.get("rows", ()):
-            ident = {
-                "benchmark": "shard_runtime",
-                "family": row.get("family"),
-                "n": row.get("n"),
-                "protocol": row.get("protocol"),
-                "workers": row.get("workers"),
-                "partitioner": row.get("partitioner"),
-                "arithmetic": arithmetic,
-            }
-            entry = {
-                "kind": "bench_shard",
-                "key": run_key("bench", ident, "shard", git_rev),
-                "git_rev": git_rev,
-            }
-            entry.update(ident)
-            for metric in (
-                "rounds", "bits", "messages", "identical_results",
-                "edge_cut", "cross_bits", "cross_messages",
-                "max_shard_ledger_words",
-                "event_seconds", "shard_seconds", "shard_cpu_seconds",
-                "projected_speedup",
-            ):
-                if metric in row:
-                    entry[metric] = row[metric]
-            self.append(entry)
-            count += 1
-        return count
-
-    def ingest_bench_recovery(
-        self, payload: Dict[str, Any], git_rev: Optional[str] = None
-    ) -> int:
-        """Append one record per BENCH_recovery.json row; returns the count.
-
-        Rows are keyed by (family, n, protocol, scenario) — a scenario
-        is one recovery path ("resume", "hang_respawn", "overhead", ...)
-        so each path's identity verdict and latency trend separately.
-        """
-        count = 0
-        for row in payload.get("rows", ()):
-            ident = {
-                "benchmark": "recovery",
-                "family": row.get("family"),
-                "n": row.get("n"),
-                "protocol": row.get("protocol"),
-                "scenario": row.get("scenario"),
-            }
-            entry = {
-                "kind": "bench_recovery",
-                "key": run_key("bench", ident, "shard", git_rev),
-                "git_rev": git_rev,
-            }
-            entry.update(ident)
-            for metric in (
-                "rounds", "bits", "messages", "identical_after_resume",
-                "restarts", "checkpoints_written", "checkpoint_bytes",
-                "workers", "faults",
-                "uninterrupted_seconds", "supervised_seconds",
-                "overhead_fraction", "recovery_seconds",
-            ):
-                if metric in row:
-                    entry[metric] = row[metric]
-            self.append(entry)
-            count += 1
-        return count
+        return len(rows)
 
 
 # ----------------------------------------------------------------------
@@ -538,456 +365,158 @@ class RegressionGates:
     check_wall: bool = True
 
 
-_STRUCTURAL_KEYS = ("rounds", "bits", "messages")
-_SPEEDUP_KEYS = ("event_speedup", "bulk_speedup")
-_SECONDS_KEYS = ("sweep_seconds", "event_seconds", "bulk_seconds")
+@dataclass(frozen=True)
+class BenchSchema:
+    """How one kind of BENCH_*.json payload is recorded and gated.
 
-
-def compare_bench_engine(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    gates: RegressionGates = RegressionGates(),
-) -> Tuple[List[Violation], int]:
-    """Gate a fresh BENCH_engine payload against a baseline.
-
-    Rows are matched by (family, n); structural metrics must match
-    exactly, wall metrics within the configured ratios.  Returns
-    ``(violations, rows_compared)``.
+    Every payload is ``{"benchmark": <marker>, "rows": [...], ...}``
+    and rows are matched across payloads by their ``id_keys`` values.
+    Hard gates: an ``exact`` key may not change, a ``flags`` key may
+    not turn false (reported as ``identity``).  Wall-clock gates, all
+    soft and all skipped under ``check_wall=False``: a ``speedups`` key
+    (higher is better) may not drop by more than ``max_speedup_drop``,
+    a ``timings`` key (lower is better) may not grow past
+    ``max_slowdown`` times the baseline, and a ``ceilings`` key may not
+    exceed its absolute bound.  A baseline row missing from the current
+    payload is a soft ``coverage`` violation.  ``context`` names
+    payload-level keys folded into every ledger record's identity, and
+    ``kind`` is the ledger record kind, ``bench_<stem>`` for the
+    payload file ``BENCH_<stem>.json``.
     """
-    def rows_by_id(payload):
-        return {
-            (row.get("family"), row.get("n")): row
-            for row in payload.get("rows", ())
-        }
 
-    base_rows = rows_by_id(baseline)
-    cur_rows = rows_by_id(current)
-    violations: List[Violation] = []
-    compared = 0
-    for ident in sorted(set(base_rows) & set(cur_rows)):
-        compared += 1
-        base, cur = base_rows[ident], cur_rows[ident]
-        label = "{}-{}".format(*ident)
-        for key in _STRUCTURAL_KEYS:
-            if key in base and key in cur and base[key] != cur[key]:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} changed for an identical config: "
-                        "{} -> {}".format(label, key, base[key], cur[key]),
-                    )
-                )
-        if base.get("identical_results") and not cur.get(
-            "identical_results", True
-        ):
-            violations.append(
-                Violation(
-                    "identity",
-                    "{}: engines no longer produce identical results".format(
-                        label
-                    ),
-                )
-            )
-        if not gates.check_wall:
-            continue
-        for key in _SPEEDUP_KEYS:
-            if key not in base or key not in cur:
-                continue
-            floor = base[key] * (1.0 - gates.max_speedup_drop)
-            if cur[key] < floor:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} dropped {:.0%}+: {:.2f}x -> {:.2f}x "
-                        "(floor {:.2f}x)".format(
-                            label, key, gates.max_speedup_drop,
-                            base[key], cur[key], floor,
-                        ),
-                        hard=False,
-                    )
-                )
-        for key in _SECONDS_KEYS:
-            if key not in base or key not in cur or not base[key]:
-                continue
-            ratio = cur[key] / base[key]
-            if ratio > gates.max_slowdown:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} slowed {:.2f}x over baseline "
-                        "({:.4f}s -> {:.4f}s; gate {:.2f}x)".format(
-                            label, key, ratio, base[key], cur[key],
-                            gates.max_slowdown,
-                        ),
-                        hard=False,
-                    )
-                )
-    for ident in sorted(set(base_rows) - set(cur_rows)):
-        violations.append(
-            Violation(
-                "coverage",
-                "{}-{}: baseline row missing from the current run".format(
-                    *ident
-                ),
-                hard=False,
-            )
-        )
-    return violations, compared
-
-
-def compare_bench_arena(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    gates: RegressionGates = RegressionGates(),
-) -> Tuple[List[Violation], int]:
-    """Gate a fresh BENCH_arena payload against a baseline.
-
-    Rows are matched by (protocol, family, n).  Round/bit/message
-    totals are machine-independent facts of the protocol and must match
-    exactly; a row whose ``matches_brandes`` flag flips to False is a
-    correctness regression; wall clock gets the soft slowdown gate.
-    """
-    def rows_by_id(payload):
-        return {
-            (row.get("protocol"), row.get("family"), row.get("n")): row
-            for row in payload.get("rows", ())
-        }
-
-    base_rows = rows_by_id(baseline)
-    cur_rows = rows_by_id(current)
-    violations: List[Violation] = []
-    compared = 0
-    for ident in sorted(set(base_rows) & set(cur_rows)):
-        compared += 1
-        base, cur = base_rows[ident], cur_rows[ident]
-        label = "{}/{}-{}".format(*ident)
-        for key in _STRUCTURAL_KEYS:
-            if key in base and key in cur and base[key] != cur[key]:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} changed for an identical config: "
-                        "{} -> {}".format(label, key, base[key], cur[key]),
-                    )
-                )
-        if base.get("matches_brandes") and not cur.get(
-            "matches_brandes", True
-        ):
-            violations.append(
-                Violation(
-                    "identity",
-                    "{}: protocol no longer matches Brandes".format(label),
-                )
-            )
-        if not gates.check_wall:
-            continue
-        if base.get("wall_seconds") and cur.get("wall_seconds"):
-            ratio = cur["wall_seconds"] / base["wall_seconds"]
-            if ratio > gates.max_slowdown:
-                violations.append(
-                    Violation(
-                        "wall_seconds",
-                        "{}: slowed {:.2f}x over baseline "
-                        "({:.4f}s -> {:.4f}s; gate {:.2f}x)".format(
-                            label, ratio, base["wall_seconds"],
-                            cur["wall_seconds"], gates.max_slowdown,
-                        ),
-                        hard=False,
-                    )
-                )
-    for ident in sorted(set(base_rows) - set(cur_rows)):
-        violations.append(
-            Violation(
-                "coverage",
-                "{}/{}-{}: baseline row missing from the current "
-                "run".format(*ident),
-                hard=False,
-            )
-        )
-    return violations, compared
-
-
-def compare_bench_faults(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    gates: RegressionGates = RegressionGates(),
-) -> Tuple[List[Violation], int]:
-    """Gate a fresh BENCH_faults payload against a baseline."""
-    violations: List[Violation] = []
-    compared = 0
-    base_d = baseline.get("disabled_overhead") or {}
-    cur_d = current.get("disabled_overhead") or {}
-    if base_d and cur_d:
-        compared += 1
-        if base_d.get("identical_results") and not cur_d.get(
-            "identical_results", True
-        ):
-            violations.append(
-                Violation(
-                    "identity",
-                    "faults=None run no longer identical to the bare call",
-                )
-            )
-        if gates.check_wall and base_d.get("overhead_ratio") and cur_d.get(
-            "overhead_ratio"
-        ):
-            ratio = cur_d["overhead_ratio"] / base_d["overhead_ratio"]
-            if ratio > gates.max_slowdown:
-                violations.append(
-                    Violation(
-                        "overhead_ratio",
-                        "disabled-path overhead grew {:.2f}x over "
-                        "baseline".format(ratio),
-                        hard=False,
-                    )
-                )
-    base_rows = {
-        row.get("drop_rate"): row
-        for row in (baseline.get("recovery_overhead") or {}).get("rows", ())
-    }
-    cur_rows = {
-        row.get("drop_rate"): row
-        for row in (current.get("recovery_overhead") or {}).get("rows", ())
-    }
-    for rate in sorted(set(base_rows) & set(cur_rows)):
-        compared += 1
-        base, cur = base_rows[rate], cur_rows[rate]
-        if base.get("recovered_exactly") and not cur.get(
-            "recovered_exactly", True
-        ):
-            violations.append(
-                Violation(
-                    "recovery",
-                    "drop rate {}: recovery is no longer exact".format(rate),
-                )
-            )
-        if rate == 0.0 and "rounds" in base and "rounds" in cur:
-            if base["rounds"] != cur["rounds"]:
-                violations.append(
-                    Violation(
-                        "rounds",
-                        "drop rate 0.0: rounds changed {} -> {}".format(
-                            base["rounds"], cur["rounds"]
-                        ),
-                    )
-                )
-    return violations, compared
-
-
-_SHARD_STRUCTURAL_KEYS = (
-    "rounds", "bits", "messages", "edge_cut", "cross_bits",
-    "cross_messages",
-)
-
-
-def compare_bench_shard(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    gates: RegressionGates = RegressionGates(),
-) -> Tuple[List[Violation], int]:
-    """Gate a fresh BENCH_shard payload against a baseline.
-
-    Rows are matched by (family, n, protocol, workers, partitioner).
-    Everything the wire determines — rounds, billed bits, messages,
-    the partition's edge cut and cross-shard traffic, and the
-    identical-to-event verdict — is a hard machine-independent gate;
-    wall-clock and projected-speedup figures get the usual soft ratio
-    gates (and are skipped entirely under ``check_wall=False``, the
-    right setting for this repo's single-core CI runners).
-    """
-    def rows_by_id(payload):
-        return {
-            (
-                row.get("family"), row.get("n"), row.get("protocol"),
-                row.get("workers"), row.get("partitioner"),
-            ): row
-            for row in payload.get("rows", ())
-        }
-
-    base_rows = rows_by_id(baseline)
-    cur_rows = rows_by_id(current)
-    violations: List[Violation] = []
-    compared = 0
-    for ident in sorted(
-        set(base_rows) & set(cur_rows), key=lambda k: tuple(map(str, k))
-    ):
-        compared += 1
-        base, cur = base_rows[ident], cur_rows[ident]
-        label = "{}-{}/{} W={} {}".format(*ident)
-        for key in _SHARD_STRUCTURAL_KEYS:
-            if key in base and key in cur and base[key] != cur[key]:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} changed for an identical config: "
-                        "{} -> {}".format(label, key, base[key], cur[key]),
-                    )
-                )
-        if base.get("identical_results") and not cur.get(
-            "identical_results", True
-        ):
-            violations.append(
-                Violation(
-                    "identity",
-                    "{}: sharded run no longer bit-identical to the "
-                    "event engine".format(label),
-                )
-            )
-        if not gates.check_wall:
-            continue
-        if (
-            "projected_speedup" in base
-            and "projected_speedup" in cur
-        ):
-            floor = base["projected_speedup"] * (1.0 - gates.max_speedup_drop)
-            if cur["projected_speedup"] < floor:
-                violations.append(
-                    Violation(
-                        "projected_speedup",
-                        "{}: projected speedup dropped {:.0%}+: "
-                        "{:.2f}x -> {:.2f}x (floor {:.2f}x)".format(
-                            label, gates.max_speedup_drop,
-                            base["projected_speedup"],
-                            cur["projected_speedup"], floor,
-                        ),
-                        hard=False,
-                    )
-                )
-        for key in ("event_seconds", "shard_seconds"):
-            if key not in base or key not in cur or not base[key]:
-                continue
-            ratio = cur[key] / base[key]
-            if ratio > gates.max_slowdown:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} slowed {:.2f}x over baseline "
-                        "({:.4f}s -> {:.4f}s; gate {:.2f}x)".format(
-                            label, key, ratio, base[key], cur[key],
-                            gates.max_slowdown,
-                        ),
-                        hard=False,
-                    )
-                )
-    for ident in sorted(
-        set(base_rows) - set(cur_rows), key=lambda k: tuple(map(str, k))
-    ):
-        violations.append(
-            Violation(
-                "coverage",
-                "{}-{}/{} W={} {}: baseline row missing from the "
-                "current run".format(*ident),
-                hard=False,
-            )
-        )
-    return violations, compared
+    kind: str
+    id_keys: Tuple[str, ...]
+    exact: Tuple[str, ...] = ("rounds", "bits", "messages")
+    flags: Tuple[str, ...] = ()
+    speedups: Tuple[str, ...] = ()
+    timings: Tuple[str, ...] = ()
+    ceilings: Tuple[Tuple[str, float], ...] = ()
+    context: Tuple[str, ...] = ()
 
 
 #: Checkpoint overhead ceiling: a supervised run with checkpoints on
 #: may cost at most this fraction of wall time over the unsupervised
-#: run (the PR acceptance figure, enforced as a wall-clock gate).
+#: run (the supervised runtime's acceptance figure, enforced as a
+#: wall-clock gate).
 MAX_CHECKPOINT_OVERHEAD = 0.05
 
+#: The one table behind ``HistoryLedger.ingest`` and
+#: :func:`compare_payloads`, keyed by the payload's ``benchmark`` marker.
+BENCH_SCHEMAS: Dict[str, BenchSchema] = {
+    # BENCH_engine.json: one row per family x N, all engines vs sweep.
+    "engine_comparison": BenchSchema(
+        kind="bench_engine",
+        id_keys=("family", "n"),
+        flags=("identical_results",),
+        speedups=("event_speedup", "bulk_speedup"),
+        timings=("sweep_seconds", "event_seconds", "bulk_seconds"),
+        context=("engines", "arithmetic"),
+    ),
+    # BENCH_arena.json: one league-table row per protocol x family x N.
+    "protocol_arena": BenchSchema(
+        kind="bench_arena",
+        id_keys=("protocol", "family", "n"),
+        flags=("matches_brandes",),
+        timings=("wall_seconds",),
+        context=("arithmetic",),
+    ),
+    # BENCH_faults.json: the disabled-layer row and one recovery row per
+    # drop rate.
+    "fault_layer": BenchSchema(
+        kind="bench_faults",
+        id_keys=("gate", "graph", "drop_rate"),
+        exact=("rounds",),
+        flags=("identical_results", "recovered_exactly"),
+        timings=("overhead_ratio",),
+    ),
+    # BENCH_shard.json: one row per family x N x protocol x W x
+    # partitioner; the partition's cut and cross-shard traffic are wire
+    # facts too.
+    "shard_runtime": BenchSchema(
+        kind="bench_shard",
+        id_keys=("family", "n", "protocol", "workers", "partitioner"),
+        exact=(
+            "rounds", "bits", "messages", "edge_cut", "cross_bits",
+            "cross_messages",
+        ),
+        flags=("identical_results",),
+        timings=("event_seconds", "shard_seconds"),
+        context=("arithmetic",),
+    ),
+    # BENCH_recovery.json: one row per family x N x protocol x recovery
+    # scenario.  Fault plans are keyed hashes, so the restart count must
+    # replay exactly.
+    "recovery": BenchSchema(
+        kind="bench_recovery",
+        id_keys=("family", "n", "protocol", "scenario"),
+        exact=("rounds", "bits", "messages", "restarts"),
+        flags=("identical_after_resume",),
+        timings=("recovery_seconds", "supervised_seconds"),
+        ceilings=(("overhead_fraction", MAX_CHECKPOINT_OVERHEAD),),
+    ),
+}
 
-def compare_bench_recovery(
-    baseline: Dict[str, Any],
-    current: Dict[str, Any],
-    gates: RegressionGates = RegressionGates(),
-) -> Tuple[List[Violation], int]:
-    """Gate a fresh BENCH_recovery payload against a baseline.
 
-    Rows are matched by (family, n, protocol, scenario).  Hard gates:
-    rounds/bits/messages are exact-match (recovery must be invisible in
-    every wire total), ``identical_after_resume`` must stay true, and
-    the restart count must replay exactly (fault plans are keyed
-    hashes, so a drifting restart count means the supervisor changed
-    behavior).  Soft wall gates: recovery latency ratio and the ≤ 5%
-    checkpoint overhead ceiling (:data:`MAX_CHECKPOINT_OVERHEAD`).
-    """
-    def rows_by_id(payload):
-        return {
-            (
-                row.get("family"), row.get("n"), row.get("protocol"),
-                row.get("scenario"),
-            ): row
-            for row in payload.get("rows", ())
-        }
-
-    base_rows = rows_by_id(baseline)
-    cur_rows = rows_by_id(current)
-    violations: List[Violation] = []
-    compared = 0
-    for ident in sorted(
-        set(base_rows) & set(cur_rows), key=lambda k: tuple(map(str, k))
-    ):
-        compared += 1
-        base, cur = base_rows[ident], cur_rows[ident]
-        label = "{}-{}/{} [{}]".format(*ident)
-        for key in ("rounds", "bits", "messages", "restarts"):
-            if key in base and key in cur and base[key] != cur[key]:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} changed for an identical recovery "
-                        "scenario: {} -> {}".format(
-                            label, key, base[key], cur[key]
-                        ),
-                    )
-                )
-        if base.get("identical_after_resume") and not cur.get(
-            "identical_after_resume", True
-        ):
-            violations.append(
-                Violation(
-                    "identity",
-                    "{}: recovered run no longer bit-identical to the "
-                    "uninterrupted run".format(label),
-                )
+def _row_violations(
+    schema: BenchSchema,
+    label: str,
+    base: Dict[str, Any],
+    cur: Dict[str, Any],
+    gates: RegressionGates,
+) -> Iterable[Violation]:
+    """The gates of one matched (baseline, current) row pair."""
+    for key in schema.exact:
+        if key in base and key in cur and base[key] != cur[key]:
+            yield Violation(
+                key,
+                "{}: {} changed for an identical config: {} -> {}".format(
+                    label, key, base[key], cur[key]
+                ),
             )
-        if not gates.check_wall:
+    for key in schema.flags:
+        if base.get(key) and not cur.get(key, True):
+            yield Violation(
+                "identity", "{}: {} is no longer true".format(label, key)
+            )
+    if not gates.check_wall:
+        return
+    for key in schema.speedups:
+        if base.get(key) is None or cur.get(key) is None:
             continue
-        if "overhead_fraction" in cur and (
-            cur["overhead_fraction"] > MAX_CHECKPOINT_OVERHEAD
-        ):
-            violations.append(
-                Violation(
-                    "overhead_fraction",
-                    "{}: checkpointing costs {:.1%} of wall time "
-                    "(ceiling {:.0%})".format(
-                        label, cur["overhead_fraction"],
-                        MAX_CHECKPOINT_OVERHEAD,
-                    ),
-                    hard=False,
-                )
-            )
-        for key in ("recovery_seconds", "supervised_seconds"):
-            if key not in base or key not in cur or not base[key]:
-                continue
-            ratio = cur[key] / base[key]
-            if ratio > gates.max_slowdown:
-                violations.append(
-                    Violation(
-                        key,
-                        "{}: {} slowed {:.2f}x over baseline "
-                        "({:.4f}s -> {:.4f}s; gate {:.2f}x)".format(
-                            label, key, ratio, base[key], cur[key],
-                            gates.max_slowdown,
-                        ),
-                        hard=False,
-                    )
-                )
-    for ident in sorted(
-        set(base_rows) - set(cur_rows), key=lambda k: tuple(map(str, k))
-    ):
-        violations.append(
-            Violation(
-                "coverage",
-                "{}-{}/{} [{}]: baseline row missing from the current "
-                "run".format(*ident),
+        floor = base[key] * (1.0 - gates.max_speedup_drop)
+        if cur[key] < floor:
+            yield Violation(
+                key,
+                "{}: {} dropped {:.0%}+: {:.2f}x -> {:.2f}x "
+                "(floor {:.2f}x)".format(
+                    label, key, gates.max_speedup_drop, base[key],
+                    cur[key], floor,
+                ),
                 hard=False,
             )
-        )
-    return violations, compared
+    for key in schema.timings:
+        if not base.get(key) or cur.get(key) is None:
+            continue
+        ratio = cur[key] / base[key]
+        if ratio > gates.max_slowdown:
+            yield Violation(
+                key,
+                "{}: {} slowed {:.2f}x over baseline "
+                "({:.4f} -> {:.4f}; gate {:.2f}x)".format(
+                    label, key, ratio, base[key], cur[key],
+                    gates.max_slowdown,
+                ),
+                hard=False,
+            )
+    for key, ceiling in schema.ceilings:
+        if cur.get(key) is not None and cur[key] > ceiling:
+            yield Violation(
+                key,
+                "{}: {} is {} (ceiling {})".format(
+                    label, key, cur[key], ceiling
+                ),
+                hard=False,
+            )
 
 
 def compare_payloads(
@@ -995,31 +524,48 @@ def compare_payloads(
     current: Dict[str, Any],
     gates: RegressionGates = RegressionGates(),
 ) -> Tuple[List[Violation], int]:
-    """Dispatch on the payload's ``benchmark`` marker."""
-    kind_b = baseline.get("benchmark")
-    kind_c = current.get("benchmark")
-    if kind_b != kind_c:
-        return (
-            [
-                Violation(
-                    "schema",
-                    "payload kinds differ: baseline {!r} vs current "
-                    "{!r}".format(kind_b, kind_c),
-                )
-            ],
-            0,
+    """Gate a fresh BENCH_*.json payload against a baseline of its kind.
+
+    The ``benchmark`` marker selects the :data:`BENCH_SCHEMAS` entry
+    whose rules apply; rows are matched by the schema's ``id_keys``.
+    Returns ``(violations, rows_compared)``.
+    """
+    marker, other = baseline.get("benchmark"), current.get("benchmark")
+    schema = BENCH_SCHEMAS.get(marker)
+    if other != marker:
+        problem = "payload kinds differ: baseline {!r} vs current {!r}"
+        return [Violation("schema", problem.format(marker, other))], 0
+    if schema is None:
+        problem = "unknown benchmark kind {!r}".format(marker)
+        return [Violation("schema", problem)], 0
+
+    def rows_by_id(payload):
+        return {
+            tuple(row.get(key) for key in schema.id_keys): row
+            for row in payload.get("rows", ())
+        }
+
+    cur_rows = rows_by_id(current)
+    violations: List[Violation] = []
+    compared = 0
+    for ident, base in rows_by_id(baseline).items():
+        label = " ".join(
+            "{}={}".format(key, value)
+            for key, value in zip(schema.id_keys, ident)
+            if value is not None
         )
-    if kind_b == "engine_comparison":
-        return compare_bench_engine(baseline, current, gates)
-    if kind_b == "fault_layer":
-        return compare_bench_faults(baseline, current, gates)
-    if kind_b == "protocol_arena":
-        return compare_bench_arena(baseline, current, gates)
-    if kind_b == "shard_runtime":
-        return compare_bench_shard(baseline, current, gates)
-    if kind_b == "recovery":
-        return compare_bench_recovery(baseline, current, gates)
-    return (
-        [Violation("schema", "unknown benchmark kind {!r}".format(kind_b))],
-        0,
-    )
+        cur = cur_rows.get(ident)
+        if cur is None:
+            violations.append(
+                Violation(
+                    "coverage",
+                    "{}: baseline row missing from the current run".format(
+                        label
+                    ),
+                    hard=False,
+                )
+            )
+            continue
+        compared += 1
+        violations.extend(_row_violations(schema, label, base, cur, gates))
+    return violations, compared

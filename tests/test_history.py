@@ -147,7 +147,7 @@ class TestLedger:
 
     def test_bench_ingestion(self, tmp_path):
         ledger = HistoryLedger(tmp_path / "history.jsonl")
-        count = ledger.ingest_bench_engine(engine_payload(), git_rev="abc")
+        count = ledger.ingest(engine_payload(), git_rev="abc")
         assert count == 1
         entry = ledger.entries(kind="bench_engine")[0]
         assert entry["rounds"] == 1206

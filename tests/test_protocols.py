@@ -426,7 +426,7 @@ class TestArenaHistory:
         from repro.obs.history import HistoryLedger
 
         ledger = HistoryLedger(str(tmp_path / "history.jsonl"))
-        count = ledger.ingest_bench_arena(self.PAYLOAD, git_rev="abc123")
+        count = ledger.ingest(self.PAYLOAD, git_rev="abc123")
         assert count == 2
         stored = ledger.entries(kind="bench_arena")
         assert {row["protocol"] for row in stored} == {"hua-bc", "cfp-bc"}
