@@ -1,58 +1,148 @@
-"""The round kernel: one process's share of a synchronous CONGEST round.
+"""The round kernel and the round driver of the synchronous CONGEST model.
 
-Every round-stepping engine runs this one kernel over the round model
-of Section III-A:
+Every engine counts rounds, bits and messages through two pieces of
+this module, over the round model of Section III-A:
 
-* the sweep engine (``RunOptions(engine="sweep")``) with the *sweep*
-  policy: every member is stepped every round;
-* the event engine with the *wake* policy: only members holding a
-  waking arrival or a registered self-wake are stepped;
-* each shard worker of :mod:`repro.shard.runtime` with the wake policy
-  and the cross-shard router.
-
-The kernel owns the round state — in-flight lists, the heap of delayed
-deliveries, deferred inboxes, the wake heap, the per-edge load and the
-audit frames — and does three jobs per round: delivery through the
-``message_wakes`` filter, active-set selection with the crash filter,
-and the per-send loop (billing, the strict budget check, frame audit,
-tracer and ``on_send`` hooks, the fault pipeline).  Its callers own the
-outer loop: termination, the round limit, stalls, fast-forward and the
-per-round statistics.
+* :class:`RoundKernel` — one process's share of a round.  It owns the
+  round state (in-flight lists, the heap of delayed deliveries,
+  deferred inboxes, the wake heap, the per-edge load and the audit
+  frames) and does three jobs per round: delivery through the
+  ``message_wakes`` filter, active-set selection with the crash filter,
+  and the one send path (:meth:`RoundKernel.send`: billing, the strict
+  budget check, frame collection, tracer and ``on_send`` hooks, the
+  fault pipeline).  The sweep engine runs it with the *sweep* policy
+  (every member every round), the event engine and each shard worker
+  of :mod:`repro.shard.runtime` with the *wake* policy (members with a
+  waking arrival or a due self-wake).
+* :func:`drive_rounds` — the outer loop, written once: the per-round
+  tick, the stall deadline, the round limit, termination, the idle
+  fast-forward, the per-round statistics, the ``engine.*`` profiler
+  counters and crash settlement.  It runs a *world*: the kernel itself
+  for sweep and event, the shard coordinator over its workers' reports,
+  and the bulk engine's replay of its planned sends.
 """
 
 from __future__ import annotations
 
 import heapq
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.congest.node import Inbox, NodeAlgorithm, RoundContext
-from repro.exceptions import CongestViolationError, WireCodecError
+from repro.exceptions import (
+    CongestViolationError,
+    SimulationNotTerminatedError,
+    SimulationStalledError,
+    WireCodecError,
+)
 from repro.wire import Message, WireFormat, encode_frame
 
 
-def audit_frames(
-    round_number: int,
-    edge_load: Dict[Tuple[int, int], List[int]],
-    frames: Dict[Tuple[int, int], List[Message]],
-    wire: WireFormat,
-) -> None:
-    """Materialize each edge's coalesced frame and check its length.
+def drive_rounds(sim, world, start_round: int = 0) -> int:
+    """Run ``world`` from ``start_round`` to termination; return the
+    round count.
 
-    The accounting charged ``sum(bit_size)`` per edge; the codec
-    guarantees a coalesced frame is exactly that long.  A mismatch
-    means a message lied about its size (or mutated after being
-    enqueued) and the CONGEST budget was enforced on wrong numbers.
+    ``world`` supplies the state of the run and nothing else:
+
+    * ``fresh_next`` — fresh deliveries are in flight for the coming
+      round; ``next_due()`` — the earliest delayed delivery (or None);
+      ``next_wake(round)`` — the earliest registered wake (or None);
+    * ``quiescent()`` — every node is done and no delayed delivery is
+      pending; ``pending_nodes()`` — the ids of the nodes not done;
+    * ``last_progress`` — the fault injector's last round of fresh
+      traffic; ``stall(round)`` — collect what a stalled run leaves
+      and raise :class:`~repro.exceptions.SimulationStalledError`;
+      ``abandoned`` — part of the network was given up, so a run with
+      nothing left to wake stalls instead of idling to the round limit;
+    * ``run_round(round)`` — one round, its sends billed into
+      ``edge_load``; returns the number of nodes stepped.
+
+    A round with nothing to deliver and no wake due is idle: by the
+    wake contract no node changes state in it, so the driver skips to
+    the next wake, delayed delivery or stall deadline (to the round
+    limit when none is pending) without touching the world.  Under the
+    sweep policy the next wake is always the current round, so sweep
+    never skips.
     """
-    for key, load in edge_load.items():
-        _word, frame_bits = encode_frame(frames[key], wire)
-        if frame_bits != load[1]:
-            sender, receiver = key
-            raise WireCodecError(
-                "round {}: edge {}->{} charged {} bits but its "
-                "encoded frame is {} bits".format(
-                    round_number, sender, receiver, load[1], frame_bits
+    stats = sim.stats
+    telemetry = sim.telemetry
+    profiler = on_round_end = on_tick = None
+    if telemetry is not None:
+        profiler = telemetry.profiler
+        on_round_end = telemetry.on_round_end
+        # Streaming/progress tick: None on the fast path, so a run
+        # without a bus or estimator pays one identity check per round.
+        if getattr(telemetry, "wants_ticks", False):
+            on_tick = telemetry.on_round_tick
+    faults = sim.faults
+    if faults is not None:
+        from repro.faults.injector import stall_deadline
+    n = len(sim.nodes)
+    max_rounds = sim.max_rounds
+    edge_load = world.edge_load
+    round_number = start_round
+    try:
+        while True:
+            if on_tick is not None:
+                on_tick(round_number)
+            deadline = None
+            if faults is not None:
+                deadline = stall_deadline(faults.plan, world.last_progress, n)
+                if round_number >= deadline and world.pending_nodes():
+                    world.stall(round_number)
+            if round_number > max_rounds:
+                raise SimulationNotTerminatedError(
+                    round_number,
+                    max_rounds,
+                    world.pending_nodes(),
+                    sim.graph.name,
                 )
+            due = world.next_due()
+            traffic = world.fresh_next or (
+                due is not None and due <= round_number
             )
+            if not traffic and round_number > 0:
+                if world.quiescent():
+                    break
+                wake = world.next_wake(round_number)
+                if wake is None or wake > round_number:
+                    skip_to = min(
+                        bound for bound in (wake, due, max_rounds + 1)
+                        if bound is not None
+                    )
+                    if skip_to > max_rounds and world.abandoned:
+                        world.stall(round_number)
+                    if deadline is not None and round_number < deadline:
+                        skip_to = min(skip_to, deadline)
+                    if profiler is not None:
+                        profiler.bump(
+                            "engine.fast_forwarded_rounds",
+                            skip_to - round_number,
+                        )
+                    while round_number < skip_to:
+                        stats.start_round()
+                        round_number += 1
+                    continue
+            if profiler is None:
+                stepped = world.run_round(round_number)
+            else:
+                started = perf_counter()
+                stepped = world.run_round(round_number)
+                profiler.add("engine.step", perf_counter() - started)
+                profiler.bump("engine.active_node_steps", stepped)
+                if traffic and not stepped:
+                    profiler.bump("engine.passive_rounds")
+            stats.start_round()
+            if edge_load:
+                stats.observe_round(round_number, edge_load)
+                if on_round_end is not None:
+                    on_round_end(round_number, edge_load)
+                edge_load.clear()
+            round_number += 1
+    finally:
+        if faults is not None:
+            faults.settle_crashes(round_number)
+    return round_number
 
 
 class RoundKernel:
@@ -69,14 +159,20 @@ class RoundKernel:
         Active-set policy.  True steps every member every round (the
         reference oracle); False steps members with a waking arrival or
         a due self-wake (every member in round 0) and leaves idle rounds
-        to the caller's fast-forward.
+        to the driver's fast-forward.
     assignment, shard_id:
         Router.  ``assignment=None`` delivers every send into this
         kernel's in-flight lists; a node -> shard list sends to nodes
         outside ``shard_id`` into :attr:`outbox` (destination shard ->
         ``(sender, target, due, message)`` records) and counts them in
         :attr:`cross_messages` and :attr:`cross_bits`.
+
+    A kernel over every node is the :func:`drive_rounds` world of the
+    sweep and event engines.
     """
+
+    #: A single process never gives part of its network up.
+    abandoned = False
 
     def __init__(
         self,
@@ -117,16 +213,62 @@ class RoundKernel:
         self.has_filter: List[bool] = [
             type(node).message_wakes is not base_wakes for node in self.nodes
         ]
-        # This round's directed edge -> [messages, bits] (the caller
+        # This round's directed edge -> [messages, bits] (the driver
         # consumes and clears it) and, under frame audit, its messages.
         self.edge_load: Dict[Tuple[int, int], List[int]] = {}
-        self.edge_frames: Dict[Tuple[int, int], List[Message]] = {}
+        self.edge_frames: Optional[Dict[Tuple[int, int], List[Message]]] = (
+            {} if sim.frame_audit else None
+        )
+        # The send path's fixed settings.
+        self.wire: WireFormat = sim.wire
+        self.tracer = sim.tracer
+        telemetry = sim.telemetry
+        self.on_send = (
+            telemetry.on_send
+            if telemetry is not None and telemetry.wants_sends else None
+        )
+        self.budget: Optional[int] = sim.bit_budget if sim.strict else None
         self.done_count = sum(1 for v in self.members if self.nodes[v].done)
         #: (node, done) flips, recorded only when set to a list.
         self.done_changes: Optional[List[Tuple[int, bool]]] = None
         self.outbox: Dict[int, List[Tuple[int, int, int, Message]]] = {}
         self.cross_messages = 0
         self.cross_bits = 0
+
+    # ------------------------------------------------------------------
+    # the drive_rounds world of the sweep and event engines
+    # ------------------------------------------------------------------
+    @property
+    def fresh_next(self) -> bool:
+        return bool(self.in_flight)
+
+    def next_due(self) -> Optional[int]:
+        return self.future[0][0] if self.future else None
+
+    def next_wake(self, round_number: int) -> Optional[int]:
+        if self.sweep:
+            return round_number
+        return self.wake_heap[0][0] if self.wake_heap else None
+
+    def quiescent(self) -> bool:
+        return self.done_count == len(self.members) and not self.future
+
+    def pending_nodes(self) -> Tuple[int, ...]:
+        nodes = self.nodes
+        return tuple(v for v in self.members if not nodes[v].done)
+
+    @property
+    def last_progress(self) -> int:
+        return self.faults.last_progress_round
+
+    def stall(self, round_number: int) -> None:
+        faults = self.faults
+        raise SimulationStalledError(
+            round_number,
+            faults.last_progress_round,
+            self.pending_nodes(),
+            faults.crashed_nodes(round_number),
+        )
 
     # ------------------------------------------------------------------
     def wake(self, node_id: int, wake_round: int) -> None:
@@ -183,6 +325,7 @@ class RoundKernel:
         active = self._select(round_number, receivers)
         if active:
             self._step(round_number, active)
+            self.audit(round_number)
         return len(active)
 
     def _deliver(self) -> Set[int]:
@@ -250,29 +393,13 @@ class RoundKernel:
         return active
 
     def _step(self, round_number: int, active: List[int]) -> None:
-        """Step ``active`` (ascending) and run every send through billing."""
-        sim = self.sim
-        wire = sim.wire
-        tracer = sim.tracer
-        telemetry = sim.telemetry
-        on_send = (
-            telemetry.on_send
-            if telemetry is not None and telemetry.wants_sends else None
-        )
-        budget = sim.bit_budget if sim.strict else None
-        frames = self.edge_frames if sim.frame_audit else None
+        """Step ``active`` (ascending); each node's sends go through
+        :meth:`send`."""
         nodes = self.nodes
         deferred = self.deferred
-        faults = self.faults
-        edge_load = self.edge_load
-        edge_load_get = edge_load.get
-        in_flight = self.in_flight
-        in_flight_get = in_flight.get
-        assignment = self.assignment
-        shard_id = self.shard_id
+        send = self.send
         track_wakes = not self.sweep
         changes = self.done_changes
-        next_round = round_number + 1
         empty_inbox: Inbox = []
         for node_id in active:
             node = nodes[node_id]
@@ -286,52 +413,8 @@ class RoundKernel:
             else:
                 deferred[node_id] = None
             node.on_round(ctx, inbox)
-            for target, message in ctx.drain():
-                bits = message.bit_size(wire)
-                if tracer is not None:
-                    tracer.record(round_number, node_id, target, message, bits)
-                if on_send is not None:
-                    on_send(round_number, node_id, target, message, bits)
-                key = (node_id, target)
-                load = edge_load_get(key)
-                if load is None:
-                    edge_load[key] = [1, bits]
-                    total = bits
-                else:
-                    load[0] += 1
-                    total = load[1] = load[1] + bits
-                if budget is not None and total > budget:
-                    raise CongestViolationError(
-                        round_number, node_id, target, total, budget
-                    )
-                if frames is not None:
-                    frame = frames.get(key)
-                    if frame is None:
-                        frames[key] = [message]
-                    else:
-                        frame.append(message)
-                # The send is billed above regardless of its fate: the
-                # sender transmitted; the network decides delivery.
-                if assignment is not None and assignment[target] != shard_id:
-                    self._send_remote(round_number, node_id, target, message, bits)
-                elif faults is None:
-                    bucket = in_flight_get(target)
-                    if bucket is None:
-                        in_flight[target] = [(node_id, message)]
-                    else:
-                        bucket.append((node_id, message))
-                else:
-                    for due, delivered in faults.deliveries(
-                        round_number, node_id, target, message
-                    ):
-                        if due != next_round:
-                            self.push(due, round_number, node_id, target, delivered)
-                            continue
-                        bucket = in_flight_get(target)
-                        if bucket is None:
-                            in_flight[target] = [(node_id, delivered)]
-                        else:
-                            bucket.append((node_id, delivered))
+            if ctx._outbox:
+                send(round_number, node_id, ctx._outbox)
             if track_wakes and ctx._wakes is not None:
                 for wake_round in ctx.drain_wakes():
                     self.wake(node_id, wake_round)
@@ -339,9 +422,96 @@ class RoundKernel:
                 self.done_count += 1 if node.done else -1
                 if changes is not None:
                     changes.append((node_id, node.done))
-        if frames is not None and edge_load:
-            audit_frames(round_number, edge_load, frames, wire)
-            frames.clear()
+
+    def send(self, round_number: int, sender: int, sends) -> None:
+        """Bill and route one sender's ``(target, message)`` sends of
+        this round, in order.
+
+        A send is billed regardless of its fate — the sender
+        transmitted; the network decides delivery: its bits go to the
+        tracer, ``on_send`` and the edge's load (checked against the
+        strict budget) and, under frame audit, its message joins the
+        edge's frame.  Then it is routed into the in-flight lists,
+        through the fault pipeline, or to another shard's outbox.
+        """
+        wire = self.wire
+        tracer = self.tracer
+        on_send = self.on_send
+        budget = self.budget
+        frames = self.edge_frames
+        edge_load = self.edge_load
+        faults = self.faults
+        assignment = self.assignment
+        in_flight = self.in_flight
+        next_round = round_number + 1
+        for target, message in sends:
+            bits = message.bit_size(wire)
+            if tracer is not None:
+                tracer.record(round_number, sender, target, message, bits)
+            if on_send is not None:
+                on_send(round_number, sender, target, message, bits)
+            key = (sender, target)
+            load = edge_load.get(key)
+            if load is None:
+                edge_load[key] = [1, bits]
+                total = bits
+            else:
+                load[0] += 1
+                total = load[1] = load[1] + bits
+            if budget is not None and total > budget:
+                raise CongestViolationError(
+                    round_number, sender, target, total, budget
+                )
+            if frames is not None:
+                frame = frames.get(key)
+                if frame is None:
+                    frames[key] = [message]
+                else:
+                    frame.append(message)
+            if assignment is not None and assignment[target] != self.shard_id:
+                self._send_remote(round_number, sender, target, message, bits)
+            elif faults is None:
+                bucket = in_flight.get(target)
+                if bucket is None:
+                    in_flight[target] = [(sender, message)]
+                else:
+                    bucket.append((sender, message))
+            else:
+                for due, delivered in faults.deliveries(
+                    round_number, sender, target, message
+                ):
+                    if due != next_round:
+                        self.push(due, round_number, sender, target, delivered)
+                        continue
+                    bucket = in_flight.get(target)
+                    if bucket is None:
+                        in_flight[target] = [(sender, delivered)]
+                    else:
+                        bucket.append((sender, delivered))
+
+    def audit(self, round_number: int) -> None:
+        """Frame audit: encode each edge's coalesced frame of this round
+        and check its length against the billed bits.
+
+        The codec guarantees a coalesced frame is exactly
+        ``sum(bit_size)`` long; a mismatch means a message lied about its
+        size (or mutated after being enqueued) and the CONGEST budget was
+        enforced on wrong numbers.
+        """
+        frames = self.edge_frames
+        if frames is None or not self.edge_load:
+            return
+        for key, load in self.edge_load.items():
+            _word, frame_bits = encode_frame(frames[key], self.wire)
+            if frame_bits != load[1]:
+                sender, receiver = key
+                raise WireCodecError(
+                    "round {}: edge {}->{} charged {} bits but its "
+                    "encoded frame is {} bits".format(
+                        round_number, sender, receiver, load[1], frame_bits
+                    )
+                )
+        frames.clear()
 
     def _send_remote(
         self, round_number: int, sender: int, target: int, message, bits: int

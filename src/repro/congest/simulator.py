@@ -24,8 +24,9 @@ needed), so every run (and therefore every benchmark table) is exactly
 reproducible.
 
 Two execution engines share these semantics — they are the two
-active-set policies of one :class:`~repro.congest.kernel.RoundKernel`
-driven by one loop:
+active-set policies of one :class:`~repro.congest.kernel.RoundKernel`,
+run by the round driver :func:`~repro.congest.kernel.drive_rounds`
+that also runs the shard coordinator and the bulk engine's replay:
 
 * ``engine="sweep"`` (the default) calls ``on_round`` on **every** node
   **every** round, exactly like a lockstep hardware network would.  It
@@ -57,15 +58,13 @@ driven by one loop:
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterable, List, Optional, Tuple
 
-from repro.congest.kernel import RoundKernel
+from repro.congest.kernel import RoundKernel, drive_rounds
 from repro.congest.node import NodeAlgorithm, NodeFactory
 from repro.congest.options import DEFAULT_CONGEST_FACTOR  # noqa: F401
 from repro.congest.options import RunOptions
 from repro.congest.stats import CutTracker, SimulationStats
-from repro.exceptions import SimulationNotTerminatedError
 from repro.wire import WireFormat
 from repro.graphs.graph import Graph
 
@@ -237,108 +236,13 @@ class Simulator:
 
             stats = run_shard(self)
         else:
-            stats = self._run_rounds()
+            kernel = RoundKernel(
+                self, range(len(self.nodes)), sweep=self.engine == "sweep"
+            )
+            stats = self.stats
+            stats.rounds = drive_rounds(self, kernel)
         if telemetry is not None:
             telemetry.on_run_end(stats)
-        return stats
-
-    def _run_rounds(self) -> SimulationStats:
-        """The sweep and event engines: one loop over a :class:`RoundKernel`.
-
-        Sweep steps every node every round; event steps the woken ones
-        and fast-forwards idle stretches to the next wake, delayed
-        delivery or stall deadline.
-        """
-        nodes = self.nodes
-        n = len(nodes)
-        sweep = self.engine == "sweep"
-        kernel = RoundKernel(self, range(n), sweep=sweep)
-        edge_load = kernel.edge_load
-        stats = self.stats
-        telemetry = self.telemetry
-        profiler = telemetry.profiler if telemetry is not None else None
-        on_round_end = None
-        # Streaming/progress tick: bound once, None on the fast path, so
-        # a run without a bus or estimator pays one identity check per
-        # round (same discipline as tracer/faults).
-        on_tick = None
-        if telemetry is not None:
-            on_round_end = telemetry.on_round_end
-            if getattr(telemetry, "wants_ticks", False):
-                on_tick = telemetry.on_round_tick
-        faults = self.faults
-        if faults is not None:
-            from repro.faults.injector import stall_deadline
-        max_rounds = self.max_rounds
-        round_number = 0
-        try:
-            while True:
-                if on_tick is not None:
-                    on_tick(round_number)
-                if faults is not None:
-                    faults.check_stalled(round_number, self)
-                    kernel.mature(round_number)
-                if round_number > max_rounds:
-                    raise SimulationNotTerminatedError(
-                        round_number,
-                        max_rounds,
-                        tuple(node.node_id for node in nodes if not node.done),
-                        self.graph.name,
-                    )
-                had_traffic = bool(kernel.in_flight)
-                if (
-                    not had_traffic
-                    and round_number > 0
-                    and not kernel.future
-                    and kernel.done_count == n
-                ):
-                    break
-                stats.start_round()
-                if profiler is None:
-                    stepped = kernel.run_round(round_number)
-                else:
-                    started = perf_counter()
-                    stepped = kernel.run_round(round_number)
-                    profiler.add("engine.step", perf_counter() - started)
-                    profiler.bump("engine.active_node_steps", stepped)
-                    if had_traffic and not stepped:
-                        profiler.bump("engine.passive_rounds")
-                if edge_load:
-                    stats.observe_round(round_number, edge_load)
-                    if on_round_end is not None:
-                        on_round_end(round_number, edge_load)
-                    edge_load.clear()
-                round_number += 1
-                if stepped or had_traffic or sweep:
-                    continue
-                # Idle round: nobody received and nobody asked to be
-                # woken, so by the wake contract no node changes state
-                # before the next wake, delayed delivery or stall
-                # deadline.  With none pending the counter runs out to
-                # the round limit, as under sweep.
-                skip_to = max_rounds + 1
-                if kernel.wake_heap:
-                    skip_to = min(skip_to, kernel.wake_heap[0][0])
-                if kernel.future:
-                    skip_to = min(skip_to, kernel.future[0][0])
-                if faults is not None:
-                    skip_to = min(
-                        skip_to,
-                        stall_deadline(
-                            faults.plan, faults.last_progress_round, n
-                        ),
-                    )
-                if profiler is not None and skip_to > round_number:
-                    profiler.bump(
-                        "engine.fast_forwarded_rounds", skip_to - round_number
-                    )
-                while round_number < skip_to:
-                    stats.start_round()
-                    round_number += 1
-        finally:
-            if faults is not None:
-                faults.settle_crashes(round_number)
-        stats.rounds = round_number
         return stats
 
 

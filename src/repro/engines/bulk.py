@@ -33,20 +33,22 @@ cross-checks the charged totals, failing with the same
 raises.  When a run needs per-send observability (a tracer, the full
 frame audit, telemetry send/round monitors) or ends exceptionally
 (strict-mode violation, round-limit overrun), the engine expands the
-inventory send by send and *replays* it through the exact billing
-sequence of the sweep engine's ``_step`` — same drain order, same
-message objects, same partial state at the point of raise.
+inventory send by send and *replays* it through the round driver and
+the kernel's send path that every other engine runs — same drain
+order, same message objects, same partial state at the point of raise.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import groupby
 from time import perf_counter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.arithmetic.lfloat import LFloat, Rounding
-from repro.congest.kernel import audit_frames
+from repro.congest.kernel import RoundKernel, drive_rounds
 from repro.core.config import UNIT_STRESS
 from repro.wire import (
     AggStart,
@@ -66,12 +68,7 @@ from repro.core.schedule import (
     tree_schedule,
 )
 from repro.engines import lfmath
-from repro.exceptions import (
-    CongestViolationError,
-    ProtocolError,
-    SimulationNotTerminatedError,
-    WireCodecError,
-)
+from repro.exceptions import ProtocolError, WireCodecError
 from repro.wire.bits import uint_bits
 from repro.wire.codec import encode_frame
 from repro.wire.format import TYPE_TAG_BITS
@@ -1055,83 +1052,69 @@ def _sampling_audit(sim, plan: _Plan, red: _Reduction) -> None:
 # ---------------------------------------------------------------------------
 # replay (exact per-send observability)
 # ---------------------------------------------------------------------------
+class _ReplayWorld:
+    """The planned run as a :func:`~repro.congest.kernel.drive_rounds`
+    world: each round bills ``_expand``'s sends through the kernel's send
+    path, one call per sender, and discards the deliveries — the plan
+    already knows every outcome.  Every node steps every round, and no
+    fault plan reaches the bulk engine, so nothing waits or stalls."""
+
+    fresh_next = False
+    abandoned = False
+
+    def __init__(self, sim, plan: _Plan):
+        self.kernel = RoundKernel(sim, (), sweep=True)
+        self.edge_load = self.kernel.edge_load
+        self.sends = _expand(plan)
+        self.message = _Materializer(plan).message
+        self.done_round = plan.done_round
+        self.rounds = plan.rounds
+        self.cursor = 0  # first send of the next round
+        self.completed = 0  # rounds run so far
+
+    def next_due(self) -> None:
+        return None
+
+    def next_wake(self, round_number: int) -> int:
+        return round_number
+
+    def quiescent(self) -> bool:
+        return self.completed >= self.rounds
+
+    def pending_nodes(self) -> Tuple[int, ...]:
+        return tuple(
+            v for v, last in enumerate(self.done_round)
+            if last >= self.completed
+        )
+
+    def run_round(self, round_number: int) -> int:
+        r_l, snd_l, tgt_l, kind_l, aux_l = self.sends
+        first = self.cursor
+        self.cursor = bisect_right(r_l, round_number, first)
+        self.completed = round_number + 1
+        senders = 0
+        for sender, sends in groupby(
+            range(first, self.cursor), snd_l.__getitem__
+        ):
+            self.kernel.send(round_number, sender, [
+                (tgt_l[i], self.message(kind_l[i], aux_l[i])) for i in sends
+            ])
+            senders += 1
+        self.kernel.in_flight.clear()
+        self.kernel.audit(round_number)
+        return senders
+
+
 def _replay(sim, plan: _Plan) -> None:
-    """Drive the expanded send inventory through sweep-exact billing.
+    """Run the expanded send inventory through the round driver.
 
     Used whenever a run needs per-send hooks (tracer, telemetry send or
-    round monitors, the full frame audit) or ends exceptionally; follows
-    the send loop of :class:`~repro.congest.kernel.RoundKernel` line for
-    line — same drain order, same per-edge totals, same raise points,
-    same partial tracer/stats state.
+    round monitors, the full frame audit) or ends exceptionally.  The
+    driver and the kernel's send path are the ones every other engine
+    runs, so the drain order, the per-edge totals, the raise points and
+    the partial tracer/stats state are theirs by construction.
     """
-    stats = sim.stats
-    wire = sim.wire
-    tracer = sim.tracer
-    telemetry = sim.telemetry
-    on_send = None
-    on_round_end = None
-    if telemetry is not None:
-        if telemetry.wants_sends:
-            on_send = telemetry.on_send
-        on_round_end = telemetry.on_round_end
-    budget = sim.bit_budget if sim.strict else None
-    audit = sim.frame_audit
-    max_rounds = sim.max_rounds
-    r_l, snd_l, tgt_l, kind_l, aux_l = _expand(plan)
-    mat = _Materializer(plan)
-    message_of = mat.message
-    total_sends = len(r_l)
-    i = 0
-    edge_load: Dict[Tuple[int, int], List[int]] = {}
-    frames: Dict[Tuple[int, int], List[Any]] = {}
-    for round_number in range(plan.rounds):
-        if round_number > max_rounds:
-            raise SimulationNotTerminatedError(
-                round_number,
-                max_rounds,
-                tuple(
-                    v for v in range(plan.N)
-                    if plan.done_round[v] > max_rounds
-                ),
-                sim.graph.name,
-            )
-        stats.start_round()
-        while i < total_sends and r_l[i] == round_number:
-            sender = snd_l[i]
-            target = tgt_l[i]
-            message = message_of(kind_l[i], aux_l[i])
-            bits = message.bit_size(wire)
-            if tracer is not None:
-                tracer.record(round_number, sender, target, message, bits)
-            if on_send is not None:
-                on_send(round_number, sender, target, message, bits)
-            key = (sender, target)
-            load = edge_load.get(key)
-            if load is None:
-                edge_load[key] = [1, bits]
-                total = bits
-            else:
-                load[0] += 1
-                total = load[1] = load[1] + bits
-            if budget is not None and total > budget:
-                raise CongestViolationError(
-                    round_number, sender, target, total, budget
-                )
-            if audit:
-                frame = frames.get(key)
-                if frame is None:
-                    frames[key] = [message]
-                else:
-                    frame.append(message)
-            i += 1
-        if edge_load:
-            if audit:
-                audit_frames(round_number, edge_load, frames, wire)
-                frames.clear()
-            stats.observe_round(round_number, edge_load)
-            if on_round_end is not None:
-                on_round_end(round_number, edge_load)
-            edge_load.clear()
+    drive_rounds(sim, _ReplayWorld(sim, plan))
 
 
 # ---------------------------------------------------------------------------

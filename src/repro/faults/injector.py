@@ -9,11 +9,12 @@ The simulator consults one :class:`FaultInjector` at three points:
   for undetected corruption;
 * per node per round — :meth:`FaultInjector.node_crashed` implements
   the fail-pause crash windows;
-* per round — :meth:`FaultInjector.check_stalled` is the crash-aware
-  termination detector: when recovery traffic (retransmissions, acks)
-  is the only thing on the wire for ``stall_patience`` rounds, the run
-  is declared stalled and ends with a structured error instead of
-  spinning to the round limit.
+* per round — :attr:`FaultInjector.last_progress_round` feeds the
+  crash-aware termination detector of the round driver
+  (:func:`repro.congest.kernel.drive_rounds`): when recovery traffic
+  (retransmissions, acks) is the only thing on the wire until
+  :func:`stall_deadline`, the run is declared stalled and ends with a
+  structured error instead of spinning to the round limit.
 
 Determinism
 -----------
@@ -43,7 +44,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exceptions import SimulationStalledError, WireCodecError
+from repro.exceptions import WireCodecError
 from repro.faults.plan import FaultPlan
 from repro.wire import Message
 
@@ -59,9 +60,9 @@ def stall_deadline(plan: FaultPlan, last_progress: int, num_nodes: int) -> int:
     scheduled-quiet stretches (the aggregation schedule's gaps and its
     finish-horizon wait) bounded by O(diameter) < 2N rounds, while
     recovery churn repeats every <= 16 rounds — so 2N rounds of zero
-    fresh traffic cannot be a healthy run.  Every engine checks against
-    this round and caps its idle fast-forward at it, so all of them
-    stall at the same round.
+    fresh traffic cannot be a healthy run.  The round driver checks
+    every engine against this round and caps the idle fast-forward at
+    it, so all of them stall at the same round.
     """
     return last_progress + max(plan.stall_patience, 2 * num_nodes) + 1
 
@@ -429,25 +430,6 @@ class FaultInjector:
         busy forever; only first-transmission data counts as progress.
         """
         return getattr(message, "fault_progress", True)
-
-    def check_stalled(self, round_number: int, simulator) -> None:
-        """Raise :class:`SimulationStalledError` on a starved run (see
-        :func:`stall_deadline`)."""
-        if round_number < stall_deadline(
-            self.plan, self.last_progress_round, len(simulator.nodes)
-        ):
-            return
-        pending = tuple(
-            node.node_id for node in simulator.nodes if not node.done
-        )
-        if not pending:
-            return
-        raise SimulationStalledError(
-            round_number,
-            self.last_progress_round,
-            pending,
-            self.crashed_nodes(round_number),
-        )
 
     # ------------------------------------------------------------------
     def _trace(

@@ -260,10 +260,10 @@ class ProgressEstimator:
         """Called at run start: derive the schedule if worthwhile.
 
         The bulk engine executes the whole run as one closed-form array
-        program — there is no round loop, so no heartbeat would ever
-        consume the schedule, and deriving it (an O(N·E) pure-Python
-        sweep) would tax exactly the engine chosen for speed.  Bulk
-        runs therefore skip straight to the terminal 100% row.
+        program — unless it replays its sends, there is no round loop, so
+        no heartbeat would ever consume the schedule, and deriving it (an
+        O(N·E) pure-Python sweep) would tax exactly the engine chosen for
+        speed.  Bulk runs therefore skip straight to the terminal 100% row.
         """
         if (
             self.schedule is None

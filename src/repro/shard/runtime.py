@@ -11,12 +11,15 @@ pre-built node objects copy-on-write), which the dispatcher's
 
 Each worker drives its shard's nodes with the event engine's
 :class:`~repro.congest.kernel.RoundKernel` (wake policy, cross-shard
-router).  The coordinator replicates the event engine's *outer* loop
-decision for decision — which round to process, when to fast-forward
-idle stretches, when to declare termination, stalling, or the round
-limit — from per-round worker reports, so a sharded run is
-**bit-identical** to ``engine="event"``: same rounds, same bits, same
-messages, same worst edge, same betweenness, same fault counters.
+router).  The coordinator is a world of the one round driver,
+:func:`~repro.congest.kernel.drive_rounds`, that also runs the sweep
+and event engines: its ``run_round`` is the barrier (checkpoint, worker
+reports, merged edge load, routed frames) and the aggregate of the
+latest worker reports answers the driver's questions — which round to
+process, when to fast-forward idle stretches, when the run terminates,
+stalls or hits the round limit.  So a sharded run is **bit-identical**
+to ``engine="event"``: same rounds, same bits, same messages, same
+worst edge, same betweenness, same fault counters.
 
 Cross-shard traffic travels as encoded wire frames batched per
 (src shard, dst shard) per round (:mod:`repro.shard.frames`), decoded
@@ -43,11 +46,12 @@ import heapq
 import os
 import pickle
 import time
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.congest.kernel import RoundKernel
+from repro.congest.kernel import RoundKernel, drive_rounds
 from repro.congest.stats import SimulationStats
 from repro.exceptions import (
     CheckpointError,
@@ -55,7 +59,6 @@ from repro.exceptions import (
     SimulationNotTerminatedError,
     SimulationStalledError,
 )
-from repro.faults.injector import stall_deadline
 from repro.shard.checkpoint import (
     corrupt_checkpoint,
     list_checkpoints,
@@ -243,15 +246,9 @@ class _ShardWorker:
             for sender, receiver, due, message in decode_shard_frame(
                 word, bits, opaque, send_round, sim.wire, self.arith
             ):
-                if due != send_round + 1:
-                    kernel.push(due, send_round, sender, receiver, message)
-                    continue
-                bucket = in_flight.get(receiver)
-                if bucket is None:
-                    in_flight[receiver] = [(sender, message)]
-                else:
-                    bucket.append((sender, message))
+                if due == send_round + 1 and receiver in in_flight:
                     touched.add(receiver)
+                kernel.push(due, send_round, sender, receiver, message)
         by_sender = itemgetter(0)
         for receiver in touched:
             # Stable: per-sender runs are contiguous within one source
@@ -259,7 +256,7 @@ class _ShardWorker:
             in_flight[receiver].sort(key=by_sender)
         done_changes: List[Tuple[int, bool]] = []
         kernel.done_changes = done_changes
-        kernel.run_round(round_number)
+        stepped = kernel.run_round(round_number)
         edge_load = kernel.edge_load
         edges = [
             (key[0], key[1], load[0], load[1])
@@ -281,6 +278,7 @@ class _ShardWorker:
         kernel.outbox = {}
         faults = sim.faults
         report: Dict[str, Any] = {
+            "stepped": stepped,
             "edges": edges,
             "done_changes": done_changes,
             "min_wake": kernel.wake_heap[0][0] if kernel.wake_heap else None,
@@ -537,8 +535,9 @@ def _child_main(
 
 
 class _Coordinator:
-    """The parent-side outer loop replicating the event engine's round
-    loop (``Simulator._run_rounds``) over worker reports."""
+    """The parent side of a sharded run: the workers' barrier and the
+    :func:`~repro.congest.kernel.drive_rounds` world over their
+    reports."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -579,6 +578,8 @@ class _Coordinator:
         self.pending_min_due: List[Optional[int]] = [None] * self.n_shards
         self.fresh_next = False
         self.last_progress = 0
+        # The merged edge load of the round just run (the driver clears it).
+        self.edge_load: Dict[Tuple[int, int], List[int]] = {}
         # Dead-shard handover state.
         self.dead_payloads: Dict[int, Dict[str, Any]] = {}
         self.merged_fault_payloads: List[Dict[str, Any]] = []
@@ -610,6 +611,7 @@ class _Coordinator:
         self._join_timeout = 5.0
         self._ctx = None
         self._ckpt_run_dir: Optional[Path] = None
+        self.checkpoint_every = 0
         self._graph_hash: Optional[str] = None
         sup = self.supervision
         if sup is not None:
@@ -629,6 +631,7 @@ class _Coordinator:
             self._run_key = key
             if sup.checkpoints_enabled:
                 self._ckpt_run_dir = Path(sup.checkpoint_dir) / key
+                self.checkpoint_every = sup.checkpoint_every
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -1040,32 +1043,74 @@ class _Coordinator:
         return state["round"]
 
     # ------------------------------------------------------------------
-    # aggregate views
+    # the drive_rounds world: the latest reports of every shard
     # ------------------------------------------------------------------
-    def _global_min_future(self) -> Optional[int]:
-        best: Optional[int] = None
-        for value in self.min_future:
-            if value is not None and (best is None or value < best):
-                best = value
-        for value in self.pending_min_due:
-            if value is not None and (best is None or value < best):
-                best = value
-        return best
+    def next_due(self) -> Optional[int]:
+        return min(
+            (
+                due for due in chain(self.min_future, self.pending_min_due)
+                if due is not None
+            ),
+            default=None,
+        )
 
-    def _global_future_len(self) -> int:
-        return sum(self.future_len) + sum(self.pending_future_len)
+    def next_wake(self, round_number: int) -> Optional[int]:
+        return min(
+            (
+                wake for wake, alive in zip(self.min_wake, self.alive)
+                if alive and wake is not None
+            ),
+            default=None,
+        )
 
-    def _alive_min_wake(self) -> Optional[int]:
-        best: Optional[int] = None
-        for shard in range(self.n_shards):
-            if self.alive[shard]:
-                value = self.min_wake[shard]
-                if value is not None and (best is None or value < best):
-                    best = value
-        return best
+    def quiescent(self) -> bool:
+        return self.done_count == self.n and not (
+            sum(self.future_len) + sum(self.pending_future_len)
+        )
 
-    def _pending_nodes(self) -> Tuple[int, ...]:
+    def pending_nodes(self) -> Tuple[int, ...]:
         return tuple(v for v in range(self.n) if not self.done[v])
+
+    @property
+    def abandoned(self) -> bool:
+        # Without a fault plan no stall-patience timer exists, so a run
+        # that abandoned a shard mid-protocol stalls once nothing will
+        # ever wake again, instead of idling into the round limit.
+        return bool(self.infra_dead)
+
+    def run_round(self, round_number: int) -> int:
+        """The barrier: checkpoint (pre-round state, so a resumed run
+        re-enters the driver right here), one report per live shard,
+        their merged edge load and routed frames."""
+        every = self.checkpoint_every
+        if (
+            every
+            and round_number > 0
+            and round_number % every == 0
+            and round_number > self._last_ckpt_round
+        ):
+            self._write_checkpoint(round_number)
+        self.fresh_next = False
+        reports = self._collect_round_reports(round_number)
+        edge_lists = [
+            report["edges"] for _shard, report in reports if report["edges"]
+        ]
+        if edge_lists:
+            if len(edge_lists) == 1:
+                entries = edge_lists[0]
+            else:
+                entries = heapq.merge(*edge_lists, key=itemgetter(0))
+            edge_load = self.edge_load
+            for sender, receiver, messages, bits in entries:
+                edge_load[(sender, receiver)] = [messages, bits]
+        for shard, report in reports:
+            self._apply_report(shard, report)
+        for shard, report in reports:
+            self._route_outbox(shard, round_number, report)
+        for shard, report in reports:
+            if "shard_dead" in report:
+                self._mark_dead(shard, report["shard_dead"])
+        return sum(report["stepped"] for _shard, report in reports)
 
     # ------------------------------------------------------------------
     # report handling
@@ -1114,30 +1159,31 @@ class _Coordinator:
         self.cross_bits += payload["cross_bits"]
         self.ledger_words[shard] = payload["ledger_words"]
 
-    def _absorb_worker0(self) -> None:
-        """Absorb shard 0's cross counters and ledger words.
+    def _close(self) -> None:
+        """Absorb shard 0's cross counters and ledger words, add the
+        absorbed workers' fault counters to the shared injector's (the
+        driver settles ``crash_rounds`` and ``recoveries``) and attach
+        the shard summary.
 
         Shard 0 runs in-process and shares the coordinator's injector
         object, so its fault payload must NOT be merged (the counters
         are already live in ``sim.faults.stats``).
         """
-        reply = self.worker0._common_reply()
-        reply["faults"] = None
-        self._absorb_common(0, reply)
-
-    def _merge_fault_stats(self, round_number: int) -> None:
+        if self.alive[0]:
+            reply = self.worker0._common_reply()
+            reply["faults"] = None
+            self._absorb_common(0, reply)
         faults = self.sim.faults
-        if faults is None:
-            return
-        stats = faults.stats
-        for payload in self.merged_fault_payloads:
-            for name in _FAULT_COUNTERS:
-                setattr(
-                    stats, name,
-                    getattr(stats, name) + payload["counters"][name],
-                )
+        if faults is not None:
+            stats = faults.stats
+            for payload in self.merged_fault_payloads:
+                for name in _FAULT_COUNTERS:
+                    setattr(
+                        stats, name,
+                        getattr(stats, name) + payload["counters"][name],
+                    )
         self.merged_fault_payloads = []
-        faults.settle_crashes(round_number)
+        self._attach_shard_summary()
 
     # ------------------------------------------------------------------
     # worker conversation
@@ -1252,7 +1298,9 @@ class _Coordinator:
                 "shards_abandoned": sorted(self.infra_dead),
             }
 
-    def _finish(self, round_number: int) -> SimulationStats:
+    def _finish(self, round_number: int) -> None:
+        """Collect every live shard's outputs and counters (clean
+        termination, or a run cut short by the round limit)."""
         replies = self._broadcast_collect(("finish",), round_number)
         for shard, reply in replies.items():
             self._absorb_common(shard, reply)
@@ -1267,14 +1315,9 @@ class _Coordinator:
                     for e in payload["nodes"]
                 ],
             )
-        if self.alive[0]:
-            self._absorb_worker0()
-        self._merge_fault_stats(round_number)
-        self._attach_shard_summary()
-        self.stats.rounds = round_number
-        return self.stats
+        self._close()
 
-    def _stall(self, round_number: int) -> None:
+    def stall(self, round_number: int) -> None:
         """Three-phase stall collection, then raise the structured error."""
         sim = self.sim
         sent_by_node: Dict[int, frozenset] = {}
@@ -1308,10 +1351,7 @@ class _Coordinator:
             self._patch_partial(shard, reply["extracts"])
         for payload in self.dead_payloads.values():
             self._patch_dead_partial(payload, complete)
-        if self.alive[0]:
-            self._absorb_worker0()
-        self._merge_fault_stats(round_number)
-        self._attach_shard_summary()
+        self._close()
         crashed = (
             tuple(sim.faults.crashed_nodes(round_number))
             if sim.faults is not None else ()
@@ -1326,132 +1366,34 @@ class _Coordinator:
         raise SimulationStalledError(
             round_number,
             self.last_progress,
-            self._pending_nodes(),
+            self.pending_nodes(),
             crashed,
-        )
-
-    def _abort(self, round_number: int) -> None:
-        self.shutdown()
-        raise SimulationNotTerminatedError(
-            round_number,
-            self.sim.max_rounds,
-            self._pending_nodes(),
-            self.sim.graph.name,
         )
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationStats:
-        """Drive the merge loop, recovering from worker failures.
+        """Drive the rounds, recovering from worker failures.
 
-        Unsupervised this is exactly one ``_run_loop`` pass.  Supervised,
-        a :class:`WorkerFailure` escaping the loop (dead or hung worker,
-        detected anywhere a reply is awaited) triggers a rollback in
-        ``_recover`` and the loop re-enters at the restored round.
+        Unsupervised this is exactly one :func:`drive_rounds` pass.
+        Supervised, a :class:`WorkerFailure` escaping it (dead or hung
+        worker, detected anywhere a reply is awaited) triggers a
+        rollback in ``_recover`` and the driver re-enters at the
+        restored round.  A run cut short by the round limit still
+        collects every shard's counters before the error propagates.
         """
         start = self.start_round
         while True:
             try:
-                return self._run_loop(start)
+                rounds = drive_rounds(self.sim, self, start)
+                break
             except WorkerFailure as failure:
                 start = self._recover(failure)
-
-    def _run_loop(self, start_round: int) -> SimulationStats:
-        sim = self.sim
-        stats = self.stats
-        telemetry = sim.telemetry
-        on_tick = None
-        if telemetry is not None and getattr(telemetry, "wants_ticks", False):
-            on_tick = telemetry.on_round_tick
-        on_round_end = (
-            telemetry.on_round_end if telemetry is not None else None
-        )
-        faults = sim.faults
-        sup = self.supervision
-        checkpoint_every = (
-            sup.checkpoint_every
-            if sup is not None and self._ckpt_run_dir is not None else 0
-        )
-        max_rounds = sim.max_rounds
-        by_sender = itemgetter(0)
-        round_number = start_round
-        while True:
-            if on_tick is not None:
-                on_tick(round_number)
-            deadline = None
-            if faults is not None:
-                deadline = stall_deadline(
-                    faults.plan, self.last_progress, self.n
-                )
-                if round_number >= deadline and self._pending_nodes():
-                    self._stall(round_number)
-            if round_number > max_rounds:
-                self._abort(round_number)
-            min_future = self._global_min_future()
-            traffic = self.fresh_next or (
-                min_future is not None and min_future <= round_number
-            )
-            if not traffic and round_number > 0:
-                if self.done_count == self.n and not self._global_future_len():
-                    break
-                alive_wake = self._alive_min_wake()
-                if alive_wake is None or alive_wake > round_number:
-                    # Idle at this round for every live shard:
-                    # fast-forward like the event engine.
-                    skip_to = max_rounds + 1
-                    for bound in (alive_wake, min_future):
-                        if bound is not None and bound < skip_to:
-                            skip_to = bound
-                    if skip_to == max_rounds + 1 and self.infra_dead:
-                        # Nothing will ever wake again and a shard was
-                        # abandoned mid-protocol.  Without a fault plan
-                        # no stall-patience timer exists, so degrade to
-                        # the partial-collection path here instead of
-                        # fast-forwarding into the round-limit abort.
-                        self._stall(round_number)
-                    if deadline is not None and round_number < deadline:
-                        skip_to = min(skip_to, deadline)
-                    while round_number < skip_to:
-                        stats.start_round()
-                        round_number += 1
-                    continue
-            # Processed round: checkpoint at the barrier (pre-round state,
-            # so a resumed run re-enters the loop right here), then the
-            # barrier itself.
-            if (
-                checkpoint_every
-                and round_number > 0
-                and round_number % checkpoint_every == 0
-                and round_number > self._last_ckpt_round
-            ):
-                self._write_checkpoint(round_number)
-            self.fresh_next = False
-            reports = self._collect_round_reports(round_number)
-            stats.start_round()
-            merged: Dict[Tuple[int, int], List[int]] = {}
-            edge_lists = [
-                report["edges"] for _shard, report in reports
-                if report["edges"]
-            ]
-            if edge_lists:
-                if len(edge_lists) == 1:
-                    entries = edge_lists[0]
-                else:
-                    entries = heapq.merge(*edge_lists, key=by_sender)
-                for sender, receiver, messages, bits in entries:
-                    merged[(sender, receiver)] = [messages, bits]
-            if merged:
-                stats.observe_round(round_number, merged)
-                if on_round_end is not None:
-                    on_round_end(round_number, merged)
-            for shard, report in reports:
-                self._apply_report(shard, report)
-            for shard, report in reports:
-                self._route_outbox(shard, round_number, report)
-            for shard, report in reports:
-                if "shard_dead" in report:
-                    self._mark_dead(shard, report["shard_dead"])
-            round_number += 1
-        return self._finish(round_number)
+            except SimulationNotTerminatedError as exc:
+                self._finish(exc.round_number)
+                raise
+        self._finish(rounds)
+        self.stats.rounds = rounds
+        return self.stats
 
 
 def run_shard(simulator) -> SimulationStats:
