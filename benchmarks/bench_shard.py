@@ -60,6 +60,7 @@ def _fingerprint(result):
         result.stats.summary(),
         result.stats.round_series,
         result.stats.worst_edge,
+        result.distances(),
     )
 
 

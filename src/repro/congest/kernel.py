@@ -90,6 +90,16 @@ def drive_rounds(sim, world, start_round: int = 0) -> int:
                 deadline = stall_deadline(faults.plan, world.last_progress, n)
                 if round_number >= deadline and world.pending_nodes():
                     world.stall(round_number)
+            due = world.next_due()
+            traffic = world.fresh_next or (
+                due is not None and due <= round_number
+            )
+            idle = not traffic and round_number > 0
+            # Quiescence wins over the round limit: a run whose rounds
+            # 0..max_rounds all ran and that is quiescent at round
+            # max_rounds + 1 has terminated.
+            if idle and world.quiescent():
+                break
             if round_number > max_rounds:
                 raise SimulationNotTerminatedError(
                     round_number,
@@ -97,13 +107,7 @@ def drive_rounds(sim, world, start_round: int = 0) -> int:
                     world.pending_nodes(),
                     sim.graph.name,
                 )
-            due = world.next_due()
-            traffic = world.fresh_next or (
-                due is not None and due <= round_number
-            )
-            if not traffic and round_number > 0:
-                if world.quiescent():
-                    break
+            if idle:
                 wake = world.next_wake(round_number)
                 if wake is None or wake > round_number:
                     skip_to = min(

@@ -90,7 +90,10 @@ class Simulator:
         which runs any node algorithm; ``"event"`` additionally needs
         the wake contract (see the module docstring).
     max_rounds:
-        Safety valve; exceeded ⇒ :class:`SimulationNotTerminatedError`.
+        Safety valve: the last round a node may be stepped in.  A run
+        still active at round ``max_rounds + 1`` raises
+        :class:`SimulationNotTerminatedError`; one quiescent there has
+        terminated.
         Defaults to ``20 * N + 1000``, far above the paper's O(N) bound.
     cut:
         Optional node set: traffic crossing the induced 2-partition is

@@ -233,8 +233,8 @@ def distributed_betweenness(
         :class:`~repro.protocols.Protocol` descriptor) to run:
         ``"hua-bc"`` (the paper's Algorithms 2–3, the default) or any
         rival registered in :mod:`repro.protocols` (e.g. ``"cfp-bc"``).
-        The descriptor supplies the node factory, the engine capability
-        flags and the result extractor; the chosen name is recorded in
+        The descriptor supplies the node factory and the engine
+        capability flags; the chosen name is recorded in
         ``result.protocol``.
 
     Returns
@@ -310,22 +310,20 @@ def distributed_betweenness(
         faults=injector,
         protocol=proto,
     )
+    stall = None
     try:
-        stats = simulator.run()
-    except SimulationStalledError as stall:
-        nodes = _protocol_nodes(simulator, resilient, proto.node_class)
-        result = _collect_partial(
-            graph, nodes, simulator.stats, ctx, root, stall,
-            protocol=proto.name,
-        )
-        if telemetry is not None:
-            telemetry.finalize_run(result)
-        return result
-    nodes = _protocol_nodes(simulator, resilient, proto.node_class)
-    if proto.extract is not None:
-        result = proto.extract(simulator, graph, ctx, root)
-    else:
-        result = _collect(graph, nodes, stats, ctx, root, protocol=proto.name)
+        simulator.run()
+    except SimulationStalledError as err:
+        stall = err
+    result = _collect(
+        graph,
+        _protocol_nodes(simulator, resilient, proto.node_class),
+        simulator.stats,
+        ctx,
+        root,
+        protocol=proto.name,
+        stall=stall,
+    )
     if telemetry is not None:
         telemetry.finalize_run(result)
     return result
@@ -348,124 +346,91 @@ def _collect(
     ctx: ArithmeticContext,
     root: int,
     protocol: str = "hua-bc",
+    stall: Optional[SimulationStalledError] = None,
 ) -> DistributedBCResult:
+    """The result of a run, read off its final nodes.
+
+    With ``stall`` (the run the stall detector cut short) this is the
+    graceful degradation to a bounded-partial result.  A source counts
+    as complete only when **every** other node executed its scheduled
+    aggregation send for it; summing dependencies over that subset is
+    exact for the subset (the per-source telescoping is independent),
+    so the returned betweenness is a true lower-coverage answer rather
+    than a silently wrong total.  The guarantee is sharp under the
+    resilient transport (whose fence gating makes "sent" imply "psi
+    final"); for raw runs under lossy plans it is best-effort — see
+    ``docs/fault-model.md``.
+    """
     exact = isinstance(ctx, ExactContext)
+    if stall is not None:
+        stats.rounds = stall.round_number
+        expected = sorted(
+            node.node_id
+            for node in nodes
+            if node.config.is_source(node.node_id)
+        )
+        sent_by_node = {node.node_id: node.sent_sources() for node in nodes}
+        complete = [
+            source
+            for source in expected
+            if all(
+                source in sent
+                for owner, sent in sent_by_node.items()
+                if owner != source
+            )
+        ]
+        complete_set = frozenset(complete)
     betweenness: Dict[int, float] = {}
     betweenness_exact: Optional[Dict[int, Fraction]] = {} if exact else None
     diameter: Optional[int] = None
     start_times: Dict[int, int] = {}
     for node in nodes:
-        raw = node.betweenness_raw
+        if stall is None:
+            raw = node.betweenness_raw
+        else:
+            raw = node.partial_betweenness_raw(complete_set)
         if exact:
             value = Fraction(raw) / 2
             betweenness_exact[node.node_id] = value
             betweenness[node.node_id] = float(value)
         else:
             betweenness[node.node_id] = ctx.to_float(raw) / 2.0
-        if node.diameter is not None:
-            if diameter is not None and diameter != node.diameter:
-                raise ProtocolError(
-                    "nodes disagree on the diameter: {} vs {}".format(
-                        diameter, node.diameter
-                    )
-                )
+        if diameter is None:
             diameter = node.diameter
+        elif stall is None and node.diameter not in (None, diameter):
+            raise ProtocolError(
+                "nodes disagree on the diameter: {} vs {}".format(
+                    diameter, node.diameter
+                )
+            )
         if node.counting.own_start_time is not None:
             start_times[node.node_id] = node.counting.own_start_time
-        elif node.config.is_source(node.node_id):
+        elif stall is None and node.config.is_source(node.node_id):
             raise ProtocolError(
                 "node {} never started its BFS".format(node.node_id)
             )
-    if diameter is None:
-        raise ProtocolError("no node learned the diameter")
-    completeness = CompletenessReport(
-        complete=True,
-        complete_sources=tuple(sorted(start_times)),
-        affected_sources=(),
-        unfinished_nodes=(),
-        crashed_nodes=(),
-        stalled_round=None,
-    )
-    return DistributedBCResult(
-        graph=graph,
-        betweenness=betweenness,
-        betweenness_exact=betweenness_exact,
-        diameter=diameter,
-        start_times=start_times,
-        rounds=stats.rounds,
-        stats=stats,
-        arithmetic=ctx.name,
-        root=root,
-        nodes=nodes,
-        completeness=completeness,
-        protocol=protocol,
-    )
-
-
-def _collect_partial(
-    graph: Graph,
-    nodes: List[BetweennessNode],
-    stats: SimulationStats,
-    ctx: ArithmeticContext,
-    root: int,
-    stall: SimulationStalledError,
-    protocol: str = "hua-bc",
-) -> DistributedBCResult:
-    """Graceful degradation: the bounded-partial result of a stalled run.
-
-    A source counts as complete only when **every** other node executed
-    its scheduled aggregation send for it; summing dependencies over
-    that subset is exact for the subset (the per-source telescoping is
-    independent), so the returned betweenness is a true lower-coverage
-    answer rather than a silently wrong total.  The guarantee is sharp
-    under the resilient transport (whose fence gating makes "sent"
-    imply "psi final"); for raw runs under lossy plans it is
-    best-effort — see ``docs/fault-model.md``.
-    """
-    exact = isinstance(ctx, ExactContext)
-    stats.rounds = stall.round_number
-    expected = sorted(
-        node.node_id
-        for node in nodes
-        if node.config.is_source(node.node_id)
-    )
-    sent_by_node = {node.node_id: node.sent_sources() for node in nodes}
-    complete = [
-        source
-        for source in expected
-        if all(
-            source in sent
-            for owner, sent in sent_by_node.items()
-            if owner != source
+    if stall is None:
+        if diameter is None:
+            raise ProtocolError("no node learned the diameter")
+        completeness = CompletenessReport(
+            complete=True,
+            complete_sources=tuple(sorted(start_times)),
+            affected_sources=(),
+            unfinished_nodes=(),
+            crashed_nodes=(),
+            stalled_round=None,
         )
-    ]
-    complete_set = frozenset(complete)
-    betweenness: Dict[int, float] = {}
-    betweenness_exact: Optional[Dict[int, Fraction]] = {} if exact else None
-    diameter: Optional[int] = None
-    start_times: Dict[int, int] = {}
-    for node in nodes:
-        raw = node.partial_betweenness_raw(complete_set)
-        if exact:
-            value = Fraction(raw) / 2
-            betweenness_exact[node.node_id] = value
-            betweenness[node.node_id] = float(value)
-        else:
-            betweenness[node.node_id] = ctx.to_float(raw) / 2.0
-        if diameter is None and node.diameter is not None:
-            diameter = node.diameter
-        if node.counting.own_start_time is not None:
-            start_times[node.node_id] = node.counting.own_start_time
-    completeness = CompletenessReport(
-        complete=False,
-        complete_sources=tuple(complete),
-        affected_sources=tuple(
-            source for source in expected if source not in complete_set
-        ),
-        unfinished_nodes=stall.pending_nodes,
-        crashed_nodes=stall.crashed_nodes,
-        stalled_round=stall.round_number,
-    )
+    else:
+        completeness = CompletenessReport(
+            complete=False,
+            complete_sources=tuple(complete),
+            affected_sources=tuple(
+                source for source in expected if source not in complete_set
+            ),
+            unfinished_nodes=stall.pending_nodes,
+            crashed_nodes=stall.crashed_nodes,
+            stalled_round=stall.round_number,
+        )
     return DistributedBCResult(
         graph=graph,
         betweenness=betweenness,

@@ -1397,7 +1397,7 @@ def run_bulk(sim):
     )
     started = perf_counter()
     reduction = None
-    if not observed and plan.rounds <= sim.max_rounds:
+    if not observed and plan.rounds <= sim.max_rounds + 1:
         # None when an edge-round is over the strict budget.
         reduction = populate_stats(
             sim.stats, plan.inv, sim.bit_budget if sim.strict else None

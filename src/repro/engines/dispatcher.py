@@ -189,13 +189,13 @@ def shard_capability(simulator) -> Tuple[bool, str]:
     """Probe whether the sharded multi-process runtime can run ``simulator``.
 
     The shard runtime forks workers (node factories are closures, so
-    the pre-built nodes must be inherited copy-on-write), collects
-    results over pipes, and reconciles node state back into this
-    process at run end.  That reconciliation is defined for the
-    :class:`~repro.core.node.BetweennessNode` surface (ledger, sent
-    sources, aggregation/counting outputs) — which both registered
-    protocols share — and cannot replay per-send hooks (tracers, send
-    monitors) that fire inside child processes.
+    the pre-built nodes must be inherited copy-on-write) and takes
+    every worker's nodes back into this process at run end.  It needs
+    the :class:`~repro.core.node.BetweennessNode` surface — which both
+    registered protocols share — for the arithmetic context that
+    decodes cross-shard frames and the tree root it pins into shard 0,
+    and cannot replay per-send hooks (tracers, send monitors) that fire
+    inside child processes.
     """
     import multiprocessing
 
@@ -225,24 +225,15 @@ def shard_capability(simulator) -> Tuple[bool, str]:
         )
     from repro.core.node import BetweennessNode
 
-    config = None
     for node in simulator.nodes:
         inner = getattr(node, "inner", node)
         if not isinstance(inner, BetweennessNode):
             return False, (
-                "node {} is a {}; run-end state reconciliation is "
-                "defined for the BetweennessNode surface only".format(
+                "node {} is a {}; the shard runtime needs the "
+                "BetweennessNode arithmetic context and tree root".format(
                     node.node_id, type(inner).__name__
                 )
             )
-        if config is None:
-            config = inner.config
-    if config is not None and not config.aggregate:
-        return False, (
-            "counting-only runs (distributed APSP) keep their distance "
-            "ledgers sharded across workers; the single-process result "
-            "surface cannot be reassembled"
-        )
     return True, ""
 
 

@@ -17,9 +17,13 @@ and event engines: its ``run_round`` is the barrier (checkpoint, worker
 reports, merged edge load, routed frames) and the aggregate of the
 latest worker reports answers the driver's questions — which round to
 process, when to fast-forward idle stretches, when the run terminates,
-stalls or hits the round limit.  So a sharded run is **bit-identical**
-to ``engine="event"``: same rounds, same bits, same messages, same
-worst edge, same betweenness, same fault counters.
+stalls or hits the round limit.  At run end every worker hands its
+member nodes back and the coordinator writes them into
+``simulator.nodes``, so the pipeline reads the result off the same
+node surface as for any other engine.  A sharded run is therefore
+**bit-identical** to ``engine="event"``: same rounds, same bits, same
+messages, same worst edge, same betweenness and ledgers, same fault
+counters.
 
 Cross-shard traffic travels as encoded wire frames batched per
 (src shard, dst shard) per round (:mod:`repro.shard.frames`), decoded
@@ -86,39 +90,6 @@ def _unwrap(node):
     return getattr(node, "inner", node)
 
 
-def _outputs(node) -> Tuple[Any, Any, Any]:
-    """A protocol node's (betweenness_raw, diameter, own start time)."""
-    inner = _unwrap(node)
-    agg = getattr(inner, "aggregation", None)
-    return (
-        getattr(agg, "betweenness_raw", None),
-        getattr(agg, "diameter", None),
-        getattr(getattr(inner, "counting", None), "own_start_time", None),
-    )
-
-
-def _patch_outputs(node, diameter, start, done, sent=None, partial=None):
-    """Write a remote node's outputs into its parent-side copy.
-
-    With ``sent`` (a stalled run) the plain ``sent_sources`` and
-    ``partial_betweenness_raw`` methods are shadowed by the remote
-    values; the pipeline's partial collection recomputes the identical
-    complete set from the shadowed ``sent_sources``, so the ignored
-    argument is safe.
-    """
-    inner = _unwrap(node)
-    if sent is not None:
-        inner.sent_sources = (lambda _s=sent: _s)
-        inner.partial_betweenness_raw = (lambda _complete, _v=partial: _v)
-    if hasattr(inner, "aggregation"):
-        inner.aggregation.diameter = diameter
-    if hasattr(inner, "counting"):
-        inner.counting.own_start_time = start
-    node.done = done
-    if inner is not node:
-        inner.done = done
-
-
 def _ledger_words(nodes) -> int:
     from repro.core.records import ledger_storage_totals
 
@@ -128,33 +99,47 @@ def _ledger_words(nodes) -> int:
     )["words"]
 
 
-def _handover(nodes: Dict[int, Any]) -> List[Dict[str, Any]]:
-    """The final state of a lost shard's nodes, ascending by id: ledger
-    rows with a psi value (for a later partial collection), sent
-    sources and outputs."""
-    out = []
-    for v in sorted(nodes):
-        node = nodes[v]
+def _detach_telemetry(nodes: Dict[int, Any]):
+    """Unhook the live telemetry handles of ``nodes`` (``id -> node``).
+
+    The handles hold unpicklable streams.  Returns the
+    ``(id, "outer" | "inner")`` marks :func:`_adopt_nodes` re-attaches
+    by, and the ``(object, handle)`` pairs a caller that keeps the
+    nodes puts back.
+    """
+    marks = []
+    detached = []
+    for v, node in nodes.items():
         inner = _unwrap(node)
-        ledger = getattr(inner, "ledger", None)
-        rows = []
-        if ledger is not None:
-            psi_col = ledger.psi_col
-            rows = [
-                (ledger.source_col[row], ledger.sigma_col[row], psi_col[row])
-                for row in range(len(ledger))
-                if psi_col[row] is not None
-            ]
-        _bc, diameter, start = _outputs(node)
-        out.append({
-            "node": v,
-            "rows": rows,
-            "sent": inner.sent_sources(),
-            "diameter": diameter,
-            "start": start,
-            "done": node.done,
-        })
-    return out
+        for which, obj in {
+            id(node): ("outer", node),
+            id(inner): ("inner", inner),
+        }.values():
+            tel = getattr(obj, "telemetry", None)
+            if tel is not None:
+                obj.telemetry = None
+                detached.append((obj, tel))
+                marks.append((v, which))
+    return marks, detached
+
+
+def _adopt_nodes(sim, nodes: Dict[int, Any], marks) -> None:
+    """Write ``nodes`` into the simulator's node list and re-attach its
+    telemetry handle where :func:`_detach_telemetry` left ``marks``."""
+    for v, node in nodes.items():
+        sim.nodes[v] = node
+    for v, which in marks:
+        node = sim.nodes[v]
+        obj = node if which == "outer" else _unwrap(node)
+        obj.telemetry = sim.telemetry
+
+
+#: The keys of a shard's terminal handover.  A checkpoint blob holds
+#: all of them (its ``faults`` cursor includes the counters), so an
+#: abandoned shard hands over its checkpointed state.
+_HANDOVER = (
+    "nodes", "telemetry_nodes", "faults", "cross_messages", "cross_bits",
+)
 
 
 def _shard_dead_round(plan, members) -> Optional[int]:
@@ -295,14 +280,12 @@ class _ShardWorker:
             and round_number >= self.dead_round
         ):
             # Whole-shard kill: every member is permanently crashed from
-            # here on.  Ship everything the coordinator needs to stand
-            # in for this shard (ledger rows allow a later partial
-            # collection) and let the worker exit.
-            report["shard_dead"] = self._death_payload()
+            # here on, so hand the nodes over now and let the worker exit.
+            report["shard_dead"] = self.handover()
         return report
 
     # ------------------------------------------------------------------
-    # run-end extraction
+    # run-end handover
     # ------------------------------------------------------------------
     def _fault_payload(self):
         faults = self.sim.faults
@@ -315,57 +298,19 @@ class _ShardWorker:
             },
         }
 
-    def _common_reply(self) -> Dict[str, Any]:
+    def handover(self) -> Dict[str, Any]:
+        """This shard's terminal reply: its member nodes (telemetry
+        detached) and the counters the coordinator adds up.  The nodes
+        belong to the coordinator from here on."""
+        nodes = {v: self.sim.nodes[v] for v in self.members}
+        marks, _detached = _detach_telemetry(nodes)
         return {
+            "nodes": nodes,
+            "telemetry_nodes": marks,
             "faults": self._fault_payload(),
             "cross_messages": self.kernel.cross_messages,
             "cross_bits": self.kernel.cross_bits,
-            "ledger_words": _ledger_words(
-                self.sim.nodes[v] for v in self.members
-            ),
         }
-
-    def finish_reply(self) -> Dict[str, Any]:
-        """Per-node protocol outputs for the clean-termination path."""
-        reply = self._common_reply()
-        nodes = self.sim.nodes
-        reply["extracts"] = [
-            (v, *_outputs(nodes[v]), nodes[v].done) for v in self.members
-        ]
-        return reply
-
-    def stall_sent_sources(self) -> Dict[int, frozenset]:
-        return {
-            v: _unwrap(self.sim.nodes[v]).sent_sources()
-            for v in self.members
-        }
-
-    def partial_reply(self, complete_set) -> Dict[str, Any]:
-        """Per-node partial outputs for the stalled-run path."""
-        reply = self._common_reply()
-        extracts = []
-        for v in self.members:
-            node = self.sim.nodes[v]
-            inner = _unwrap(node)
-            _bc, diameter, start = _outputs(node)
-            extracts.append((
-                v,
-                inner.partial_betweenness_raw(complete_set),
-                inner.sent_sources(),
-                diameter,
-                start,
-                node.done,
-            ))
-        reply["extracts"] = extracts
-        return reply
-
-    def _death_payload(self) -> Dict[str, Any]:
-        """State handover when the whole shard is permanently crashed."""
-        payload = self._common_reply()
-        payload["nodes"] = _handover(
-            {v: self.sim.nodes[v] for v in self.members}
-        )
-        return payload
 
     # ------------------------------------------------------------------
     # checkpoint snapshot / restore (barrier-quiescent state only)
@@ -391,26 +336,14 @@ class _ShardWorker:
         that live telemetry handles are detached for the dump — they
         hold unpicklable streams and are re-attached on restore.
         """
-        sim = self.sim
         kernel = self.kernel
-        detached = []
-        telemetry_nodes = []
-        for v in self.members:
-            node = sim.nodes[v]
-            for which, obj in {
-                id(node): ("outer", node),
-                id(_unwrap(node)): ("inner", _unwrap(node)),
-            }.values():
-                tel = getattr(obj, "telemetry", None)
-                if tel is not None:
-                    obj.telemetry = None
-                    detached.append((obj, tel))
-                    telemetry_nodes.append((v, which))
+        nodes = {v: self.sim.nodes[v] for v in self.members}
+        marks, detached = _detach_telemetry(nodes)
         try:
             state = {
                 "shard": self.shard_id,
-                "nodes": {v: sim.nodes[v] for v in self.members},
-                "telemetry_nodes": telemetry_nodes,
+                "nodes": nodes,
+                "telemetry_nodes": marks,
                 "in_flight": kernel.in_flight,
                 "future": list(kernel.future),
                 "fseq": kernel.seq,
@@ -443,12 +376,7 @@ class _ShardWorker:
         shard 0's live counters and a child's copy never mix.
         """
         sim = self.sim
-        for v, node in state["nodes"].items():
-            sim.nodes[v] = node
-        for v, which in state["telemetry_nodes"]:
-            node = sim.nodes[v]
-            obj = node if which == "outer" else _unwrap(node)
-            obj.telemetry = sim.telemetry
+        _adopt_nodes(sim, state["nodes"], state["telemetry_nodes"])
         kernel = RoundKernel(
             sim, self.members, assignment=self.kernel.assignment,
             shard_id=self.shard_id,
@@ -503,13 +431,8 @@ def _child_main(
             elif op == "checkpoint":
                 conn.send(worker.snapshot_blob())
                 beat()
-            elif op == "stall":
-                conn.send(worker.stall_sent_sources())
-            elif op == "partial":
-                conn.send(worker.partial_reply(command[1]))
-                break
             elif op == "finish":
-                conn.send(worker.finish_reply())
+                conn.send(worker.handover())
                 break
             elif op == "die":
                 break
@@ -545,7 +468,6 @@ class _Coordinator:
         self.workers = sim.workers
         self.partitioner = sim.partitioner
         root = 0
-        proto_node = _unwrap(sim.nodes[0]) if sim.nodes else None
         for node in sim.nodes:
             inner = _unwrap(node)
             tree = getattr(inner, "tree", None)
@@ -562,8 +484,6 @@ class _Coordinator:
         self.dead_rounds = [
             _shard_dead_round(plan, members) for members in self.shards
         ]
-        self.arith = getattr(proto_node, "arith", None)
-        self.config = getattr(proto_node, "config", None)
         n = len(sim.nodes)
         self.done = bytearray(1 if node.done else 0 for node in sim.nodes)
         self.done_count = sum(self.done)
@@ -580,9 +500,9 @@ class _Coordinator:
         self.last_progress = 0
         # The merged edge load of the round just run (the driver clears it).
         self.edge_load: Dict[Tuple[int, int], List[int]] = {}
-        # Dead-shard handover state.
+        # The handovers of dead shards, adopted at run end.
         self.dead_payloads: Dict[int, Dict[str, Any]] = {}
-        self.merged_fault_payloads: List[Dict[str, Any]] = []
+        # Filled in by the run-end collection.
         self.cross_messages = 0
         self.cross_bits = 0
         self.ledger_words = [0] * self.n_shards
@@ -784,11 +704,7 @@ class _Coordinator:
             "fresh_next": self.fresh_next,
             "last_progress": self.last_progress,
             "dead_payloads": dict(self.dead_payloads),
-            "merged_fault_payloads": list(self.merged_fault_payloads),
             "infra_dead": set(self.infra_dead),
-            "cross_messages": self.cross_messages,
-            "cross_bits": self.cross_bits,
-            "ledger_words": list(self.ledger_words),
             "stats": self._stats_state(),
         }
 
@@ -804,12 +720,15 @@ class _Coordinator:
         self.pending_min_due = list(snap["pending_min_due"])
         self.fresh_next = snap["fresh_next"]
         self.last_progress = snap["last_progress"]
+        for shard, payload in snap["dead_payloads"].items():
+            if not isinstance(payload.get("nodes"), dict):
+                raise CheckpointError(
+                    "coordinator state holds shard {}'s death payload in "
+                    "the ledger-row format of earlier versions, which "
+                    "cannot be resumed; rerun from the start".format(shard)
+                )
         self.dead_payloads = dict(snap["dead_payloads"])
-        self.merged_fault_payloads = list(snap["merged_fault_payloads"])
         self.infra_dead = set(snap.get("infra_dead", ()))
-        self.cross_messages = snap["cross_messages"]
-        self.cross_bits = snap["cross_bits"]
-        self.ledger_words = list(snap["ledger_words"])
         self._restore_stats(snap["stats"])
 
     def _capture_state(self, round_number: int) -> Dict[str, Any]:
@@ -990,21 +909,6 @@ class _Coordinator:
                     ),
                 )
 
-    def _death_payload_from_blob(self, state: Dict[str, Any]) -> Dict[str, Any]:
-        """A ``_death_payload`` equivalent built from a checkpoint blob —
-        the handover when a worker's restart budget is exhausted and its
-        shard is abandoned at its last checkpointed state."""
-        cursor = state["faults"]
-        return {
-            "faults": (
-                None if cursor is None else {"counters": cursor["counters"]}
-            ),
-            "cross_messages": state["cross_messages"],
-            "cross_bits": state["cross_bits"],
-            "ledger_words": _ledger_words(state["nodes"].values()),
-            "nodes": _handover(state["nodes"]),
-        }
-
     def _recover(self, failure: WorkerFailure) -> int:
         """Global rollback after a worker failure; returns the round to
         re-enter the loop at.
@@ -1013,10 +917,10 @@ class _Coordinator:
         snapshot into the parent, re-fork all workers from its blobs
         (after exponential backoff) and replay — bit-identical by the
         barrier-snapshot + keyed-hash-fault argument.  Budget exhausted:
-        same rollback, but the failed shard is handed to the existing
-        whole-shard-kill machinery (its members reported dead at their
-        checkpointed state) and the run degrades deterministically to a
-        partial CompletenessReport instead of stalling forever.
+        same rollback, but the failed shard is marked dead like a
+        whole-shard kill, its handover taken from the snapshot blob,
+        and the run degrades deterministically to a partial
+        CompletenessReport instead of stalling forever.
         """
         sup = self.supervision
         shard = failure.shard
@@ -1027,10 +931,8 @@ class _Coordinator:
         state = self._load_rollback_state()
         if self.restarts[shard] >= sup.max_restarts:
             self._restore_from_state(state)
-            payload = self._death_payload_from_blob(
-                pickle.loads(state["shards"][shard])
-            )
-            self._mark_dead(shard, payload)
+            blob = pickle.loads(state["shards"][shard])
+            self._mark_dead(shard, {key: blob[key] for key in _HANDOVER})
             self.infra_dead.add(shard)
             self._spawn_children(state)
             return state["round"]
@@ -1150,40 +1052,6 @@ class _Coordinator:
         self.alive[shard] = False
         self.dead_payloads[shard] = payload
         self.min_wake[shard] = None
-        self._absorb_common(shard, payload)
-
-    def _absorb_common(self, shard: int, payload: Dict[str, Any]) -> None:
-        if payload["faults"] is not None:
-            self.merged_fault_payloads.append(payload["faults"])
-        self.cross_messages += payload["cross_messages"]
-        self.cross_bits += payload["cross_bits"]
-        self.ledger_words[shard] = payload["ledger_words"]
-
-    def _close(self) -> None:
-        """Absorb shard 0's cross counters and ledger words, add the
-        absorbed workers' fault counters to the shared injector's (the
-        driver settles ``crash_rounds`` and ``recoveries``) and attach
-        the shard summary.
-
-        Shard 0 runs in-process and shares the coordinator's injector
-        object, so its fault payload must NOT be merged (the counters
-        are already live in ``sim.faults.stats``).
-        """
-        if self.alive[0]:
-            reply = self.worker0._common_reply()
-            reply["faults"] = None
-            self._absorb_common(0, reply)
-        faults = self.sim.faults
-        if faults is not None:
-            stats = faults.stats
-            for payload in self.merged_fault_payloads:
-                for name in _FAULT_COUNTERS:
-                    setattr(
-                        stats, name,
-                        getattr(stats, name) + payload["counters"][name],
-                    )
-        self.merged_fault_payloads = []
-        self._attach_shard_summary()
 
     # ------------------------------------------------------------------
     # worker conversation
@@ -1217,7 +1085,7 @@ class _Coordinator:
                 raise report["error"]
         return reports
 
-    def _broadcast_collect(self, command, round_number: int = -1) -> Dict[int, Any]:
+    def _broadcast_collect(self, command, round_number: int) -> Dict[int, Any]:
         """Send one command to every live child and gather the replies."""
         replies: Dict[int, Any] = {}
         for shard, conn, _proc in self.children:
@@ -1233,37 +1101,42 @@ class _Coordinator:
         return replies
 
     # ------------------------------------------------------------------
-    # run-end reconciliation
+    # run-end collection
     # ------------------------------------------------------------------
-    def _patch_clean(self, shard: int, extracts) -> None:
-        nodes = self.sim.nodes
-        for node_id, bc_raw, diameter, start, done in extracts:
-            node = nodes[node_id]
-            inner = _unwrap(node)
-            if hasattr(inner, "aggregation"):
-                inner.aggregation.betweenness_raw = bc_raw
-            _patch_outputs(node, diameter, start, done)
+    def _adopt(self, shard: int, handover: Dict[str, Any]) -> None:
+        """Take a shard's nodes into ``sim.nodes`` (as
+        :meth:`_ShardWorker.restore_state` does) and add its counters.
 
-    def _patch_partial(self, shard: int, extracts) -> None:
-        nodes = self.sim.nodes
-        for node_id, partial, sent, diameter, start, done in extracts:
-            _patch_outputs(nodes[node_id], diameter, start, done, sent, partial)
+        Shard 0 runs in-process on the coordinator's injector, so its
+        fault counters are already live in ``sim.faults.stats``.
+        """
+        sim = self.sim
+        nodes = handover["nodes"]
+        _adopt_nodes(sim, nodes, handover["telemetry_nodes"])
+        self.ledger_words[shard] = _ledger_words(nodes.values())
+        self.cross_messages += handover["cross_messages"]
+        self.cross_bits += handover["cross_bits"]
+        faults = sim.faults
+        if shard and faults is not None and handover["faults"] is not None:
+            counters = handover["faults"]["counters"]
+            stats = faults.stats
+            for name in _FAULT_COUNTERS:
+                setattr(stats, name, getattr(stats, name) + counters[name])
 
-    def _patch_dead_partial(self, payload, complete_set) -> None:
-        arith = self.arith
-        nodes = self.sim.nodes
-        for entry in payload["nodes"]:
-            node_id = entry["node"]
-            total = arith.psi_zero()
-            for source, sigma, psi in entry["rows"]:
-                if source != node_id and source in complete_set:
-                    total = arith.psi_add(
-                        total, arith.dependency(psi, sigma)
-                    )
-            _patch_outputs(
-                nodes[node_id], entry["diameter"], entry["start"],
-                entry["done"], entry["sent"], total,
-            )
+    def _collect(self, round_number: int) -> None:
+        """The one run-end collection (clean finish, round-limit cut,
+        stall): every shard's handover is adopted — a live worker's
+        terminal reply, shard 0's own nodes, a dead shard's payload —
+        so ``sim.nodes`` is the result, then the shard summary is
+        attached (the driver settles ``crash_rounds`` and
+        ``recoveries``)."""
+        handovers = dict(self.dead_payloads)
+        handovers.update(self._broadcast_collect(("finish",), round_number))
+        if self.alive[0]:
+            handovers[0] = self.worker0.handover()
+        for shard in sorted(handovers):
+            self._adopt(shard, handovers[shard])
+        self._attach_shard_summary()
 
     def _attach_shard_summary(self) -> None:
         self.stats.shard = {
@@ -1298,60 +1171,10 @@ class _Coordinator:
                 "shards_abandoned": sorted(self.infra_dead),
             }
 
-    def _finish(self, round_number: int) -> None:
-        """Collect every live shard's outputs and counters (clean
-        termination, or a run cut short by the round limit)."""
-        replies = self._broadcast_collect(("finish",), round_number)
-        for shard, reply in replies.items():
-            self._absorb_common(shard, reply)
-            self._patch_clean(shard, reply["extracts"])
-        for shard, payload in self.dead_payloads.items():
-            # A permanently-crashed shard cannot have let the run reach
-            # clean termination, but reconcile defensively.
-            self._patch_clean(
-                shard,
-                [
-                    (e["node"], None, e["diameter"], e["start"], e["done"])
-                    for e in payload["nodes"]
-                ],
-            )
-        self._close()
-
     def stall(self, round_number: int) -> None:
-        """Three-phase stall collection, then raise the structured error."""
+        """Collect the run's final state, then raise the structured error."""
         sim = self.sim
-        sent_by_node: Dict[int, frozenset] = {}
-        if self.alive[0]:
-            sent_by_node.update(self.worker0.stall_sent_sources())
-        for shard, reply in self._broadcast_collect(
-            ("stall",), round_number
-        ).items():
-            sent_by_node.update(reply)
-        for payload in self.dead_payloads.values():
-            for entry in payload["nodes"]:
-                sent_by_node[entry["node"]] = entry["sent"]
-        config = self.config
-        expected = sorted(
-            v for v in range(self.n)
-            if config is not None and config.is_source(v)
-        )
-        complete = frozenset(
-            source
-            for source in expected
-            if all(
-                source in sent
-                for owner, sent in sent_by_node.items()
-                if owner != source
-            )
-        )
-        for shard, reply in self._broadcast_collect(
-            ("partial", complete), round_number
-        ).items():
-            self._absorb_common(shard, reply)
-            self._patch_partial(shard, reply["extracts"])
-        for payload in self.dead_payloads.values():
-            self._patch_dead_partial(payload, complete)
-        self._close()
+        self._collect(round_number)
         crashed = (
             tuple(sim.faults.crashed_nodes(round_number))
             if sim.faults is not None else ()
@@ -1379,7 +1202,8 @@ class _Coordinator:
         worker, detected anywhere a reply is awaited) triggers a
         rollback in ``_recover`` and the driver re-enters at the
         restored round.  A run cut short by the round limit still
-        collects every shard's counters before the error propagates.
+        collects every shard's nodes and counters before the error
+        propagates.
         """
         start = self.start_round
         while True:
@@ -1389,9 +1213,9 @@ class _Coordinator:
             except WorkerFailure as failure:
                 start = self._recover(failure)
             except SimulationNotTerminatedError as exc:
-                self._finish(exc.round_number)
+                self._collect(exc.round_number)
                 raise
-        self._finish(rounds)
+        self._collect(rounds)
         self.stats.rounds = rounds
         return self.stats
 
@@ -1408,7 +1232,7 @@ def run_shard(simulator) -> SimulationStats:
     try:
         return coordinator.run()
     finally:
-        # Clean termination and the stall path already told every live
-        # worker to exit (the finish/partial commands are terminal);
+        # The run-end collection already told every live worker to exit
+        # (the finish command is terminal);
         # this sweep covers abrupt error paths and is idempotent.
         coordinator.shutdown()

@@ -35,6 +35,7 @@ from repro.shard import (
     load_checkpoint,
     read_manifest,
     resolve_checkpoint,
+    partition_nodes,
     supervision_for,
     write_checkpoint,
 )
@@ -373,6 +374,81 @@ class TestPauseResume:
                 ),
             )
 
+    def _paused_after_whole_shard_kill(self, tmp_path):
+        """A run paused at round 50, after shard 2 ({4, 5} under
+        block/W=4) died at round 40: its coordinator state holds the
+        dead shard's handover."""
+        plan = FaultPlan(
+            seed=3,
+            crashes=(CrashWindow(4, 40, None), CrashWindow(5, 40, None)),
+        )
+        sup = SupervisionConfig(
+            checkpoint_every=10, checkpoint_dir=str(tmp_path), stop_after=50
+        )
+        with pytest.raises(CheckpointPause) as excinfo:
+            distributed_betweenness(
+                path_graph(8),
+                options=RunOptions(
+                    engine="shard", workers=4, partitioner="block",
+                    supervision=sup,
+                ),
+                faults=plan,
+                resilient=True,
+            )
+        return plan, excinfo.value.checkpoint_path
+
+    def _resume(self, plan, ckpt):
+        return distributed_betweenness(
+            path_graph(8),
+            options=RunOptions(
+                engine="shard", workers=4, partitioner="block",
+                supervision=SupervisionConfig(resume_from=str(ckpt)),
+            ),
+            faults=plan,
+            resilient=True,
+        )
+
+    def test_resume_keeps_a_dead_shards_handover(self, tmp_path):
+        plan, ckpt = self._paused_after_whole_shard_kill(tmp_path)
+        resumed = self._resume(plan, ckpt)
+        reference = distributed_betweenness(
+            path_graph(8),
+            options=RunOptions(engine="event"),
+            faults=plan,
+            resilient=True,
+        )
+        assert not resumed.completeness.complete
+        assert resumed.completeness == reference.completeness
+        assert resumed.betweenness == reference.betweenness
+        assert resumed.distances() == reference.distances()
+
+    def test_old_format_death_payload_is_refused(self, tmp_path):
+        # Earlier versions checkpointed a dead shard as ledger rows
+        # (a list of per-node dicts), not as node objects.
+        import pickle
+
+        plan, ckpt = self._paused_after_whole_shard_kill(tmp_path / "new")
+        manifest, files = load_checkpoint(ckpt)
+        coord = pickle.loads(files["coordinator.bin"])
+        assert sorted(coord["dead_payloads"]) == [2]
+        coord["dead_payloads"][2]["nodes"] = [
+            {"node": v, "rows": [], "sent": frozenset(), "diameter": None,
+             "start": None, "done": False}
+            for v in (4, 5)
+        ]
+        old = write_checkpoint(
+            tmp_path / "old",
+            manifest["round"],
+            {
+                int(shard): files["shard-{}.bin".format(shard)]
+                for shard in manifest["shards"]
+            },
+            pickle.dumps(coord),
+            manifest["meta"],
+        )
+        with pytest.raises(CheckpointError, match="ledger-row format"):
+            self._resume(plan, old)
+
 
 # ----------------------------------------------------------------------
 # watchdog: hang detection, respawn, stragglers, budget exhaustion
@@ -511,6 +587,50 @@ class TestWatchdog:
         assert sup["shards_abandoned"] == [1]
         assert sup["restarts"] == 0
         assert sup["hang_detections"] >= 1
+
+    def test_abandoned_shard_partial_result_matches_event(self, tmp_path):
+        # Shard 1 hangs for good at round 145, during aggregation; with
+        # no restart budget it is abandoned at its round-144 checkpoint,
+        # which the event engine sees as its members crashing for good
+        # at round 144.
+        graph = grid_graph(4, 5)
+        _assignment, shards = partition_nodes(
+            graph, 3, kind="greedy", root=0
+        )
+        abandoned = distributed_betweenness(
+            graph,
+            options=RunOptions(
+                engine="shard",
+                workers=3,
+                supervision=SupervisionConfig(
+                    heartbeat_timeout=0.5,
+                    max_restarts=0,
+                    checkpoint_every=4,
+                    checkpoint_dir=str(tmp_path),
+                ),
+            ),
+            faults=FaultPlan(
+                seed=7,
+                worker_hangs=(WorkerHang(shard=1, round=145, repeats=99),),
+            ),
+            resilient=True,
+        )
+        reference = distributed_betweenness(
+            graph,
+            options=RunOptions(engine="event"),
+            faults=FaultPlan(
+                seed=7,
+                crashes=tuple(CrashWindow(v, 144, None) for v in shards[1]),
+            ),
+            resilient=True,
+        )
+        assert abandoned.stats.supervisor["shards_abandoned"] == [1]
+        assert abandoned.completeness.complete_sources
+        assert not abandoned.completeness.complete
+        assert abandoned.completeness == reference.completeness
+        assert abandoned.betweenness == reference.betweenness
+        assert abandoned.start_times == reference.start_times
+        assert abandoned.distances() == reference.distances()
 
     def test_corrupt_newest_checkpoint_falls_back_to_older(self, tmp_path):
         graph = cycle_graph(12)

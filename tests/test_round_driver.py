@@ -128,6 +128,26 @@ def test_round_limit_at_the_last_round_agrees_across_engines(graph, slack):
 
 
 @pytest.mark.parametrize(
+    "graph", [path_graph(12), grid_graph(4, 4)], ids=lambda g: g.name
+)
+def test_quiescence_wins_over_the_round_limit(graph):
+    # rounds 0..R-1 all ran and the run is quiescent at round R, so a
+    # limit of R - 1 still lets it terminate; R - 2 cuts a node short.
+    reference = _simulator(graph, "event").run()
+    rounds = reference.rounds
+    for engine in ("sweep", "event", "bulk", "shard"):
+        sim = _simulator(graph, engine, rounds - 1)
+        stats = sim.run()
+        assert sim.engine == engine
+        assert stats.rounds == rounds, engine
+        assert stats.summary() == reference.summary(), engine
+        assert stats.round_series == reference.round_series, engine
+        err, _sim = _cut_short(graph, engine, rounds - 2)
+        assert err.round_number == rounds - 1, engine
+        assert err.pending_nodes, engine
+
+
+@pytest.mark.parametrize(
     "graph", [path_graph(10), grid_graph(4, 4)], ids=lambda g: g.name
 )
 @pytest.mark.parametrize("max_rounds", [40, 120])

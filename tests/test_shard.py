@@ -8,6 +8,8 @@ betweenness values, rounds, bits, messages, worst edge, per-round
 series, fault counters, and the stall/partial surfaces all byte-equal.
 """
 
+import json
+
 import pytest
 
 from repro.congest.options import RunOptions
@@ -16,6 +18,7 @@ from repro.exceptions import EngineCapabilityError
 from repro.faults import CrashWindow, FaultPlan
 from repro.graphs import (
     balanced_tree,
+    barabasi_albert_graph,
     connected_erdos_renyi_graph,
     cycle_graph,
     figure1_graph,
@@ -292,15 +295,6 @@ class TestShardEnvelope:
                 telemetry=Telemetry(monitors=[WireExactnessMonitor()]),
             )
 
-    def test_counting_only_runs_rejected(self):
-        from repro.core import distributed_apsp
-
-        with pytest.raises(EngineCapabilityError, match="ledger"):
-            distributed_apsp(
-                figure1_graph(),
-                options=RunOptions(engine="shard", workers=2),
-            )
-
     def test_foreign_node_algorithms_rejected(self):
         from repro.congest import NodeAlgorithm, Simulator
 
@@ -331,6 +325,120 @@ class TestShardEnvelope:
                     partitioner="metis",
                 ),
             )
+
+
+# ----------------------------------------------------------------------
+# run-end handover: the parent's nodes are the workers' final nodes
+# ----------------------------------------------------------------------
+def _surface(graph, engine, faults=None, **options):
+    """The whole result surface of a run, the ledger included."""
+    from repro.obs import Telemetry
+
+    telemetry = Telemetry()
+    result = distributed_betweenness(
+        graph,
+        options=RunOptions(engine=engine, **options),
+        telemetry=telemetry,
+        faults=faults,
+        resilient=faults is not None,
+    )
+    nodes = range(graph.num_nodes)
+    return {
+        "fingerprint": _fingerprint(result),
+        "completeness": result.completeness,
+        "distances": result.distances(),
+        "dependency": {
+            (s, v): result.dependency(s, v) for s in nodes for v in nodes
+        },
+        "ledger.words": (
+            telemetry.registry.snapshot()["ledger.words"]["value"]
+        ),
+    }
+
+
+class TestShardHandover:
+    @pytest.mark.parametrize(
+        "graph",
+        [grid_graph(5, 6), barabasi_albert_graph(24, 2, seed=3)],
+        ids=lambda g: g.name,
+    )
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("kind", ["block", "greedy"])
+    def test_result_surface_identical_to_event(self, graph, workers, kind):
+        sharded = _surface(graph, "shard", workers=workers, partitioner=kind)
+        assert sharded == _surface(graph, "event")
+
+    @pytest.mark.parametrize("crash_round", [6, 30, 75])
+    def test_whole_worker_kill_surface_identical_to_event(self, crash_round):
+        # The plan of test_kill_whole_worker_completeness_parity, killed
+        # before the counting phase, inside it and during aggregation:
+        # the dead shard's nodes come back as they were at its crash
+        # round.
+        plan = FaultPlan(
+            seed=3,
+            crashes=(
+                CrashWindow(4, crash_round, None),
+                CrashWindow(5, crash_round, None),
+            ),
+        )
+        graph = path_graph(8)
+        sharded = _surface(
+            graph, "shard", faults=plan, workers=4, partitioner="block"
+        )
+        assert not sharded["completeness"].complete
+        assert sharded == _surface(graph, "event", faults=plan)
+
+    def test_shard_zero_kill_counts_its_faults_once(self):
+        # Shard 0 runs in the coordinator on the shared injector, so
+        # the counters in its handover are already live there.
+        plan = FaultPlan(
+            seed=3,
+            drop_rate=0.05,
+            crashes=(CrashWindow(0, 60, None), CrashWindow(1, 60, None)),
+        )
+        graph = path_graph(8)
+        sharded = _surface(
+            graph, "shard", faults=plan, workers=4, partitioner="block"
+        )
+        assert sharded["fingerprint"]["summary"]["faults"]["dropped"] > 0
+        assert sharded == _surface(graph, "event", faults=plan)
+
+    def test_apsp_and_closeness_identical_to_event(self):
+        from repro.core import distributed_apsp, distributed_closeness
+
+        graph = grid_graph(5, 6)
+        event = RunOptions(engine="event")
+        shard = RunOptions(engine="shard", workers=2)
+        reference = distributed_apsp(graph, options=event)
+        sharded = distributed_apsp(graph, options=shard)
+        assert sharded.distances == reference.distances
+        assert sharded.diameter == reference.diameter
+        assert sharded.rounds == reference.rounds
+        assert sharded.stats.summary() == reference.stats.summary()
+        assert distributed_closeness(
+            graph, options=shard
+        ) == distributed_closeness(graph, options=event)
+
+    def test_cli_apsp_and_streamed_ledger_words(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["apsp", "--graph", "grid:5x6", "--engine", "shard",
+                     "--workers", "2"]) == 0
+        sharded_out = capsys.readouterr().out
+        assert main(["apsp", "--graph", "grid:5x6", "--engine", "event"]) == 0
+        assert sharded_out == capsys.readouterr().out
+        words = {}
+        for engine in (["event"], ["shard", "--workers", "2"]):
+            stream = tmp_path / "{}.jsonl".format(engine[0])
+            assert main(["bc", "--graph", "grid:6x6", "--engine", *engine,
+                         "--stream-jsonl", str(stream)]) == 0
+            events = map(json.loads, stream.read_text().splitlines())
+            words[engine[0]] = [
+                event["value"] for event in events
+                if event.get("name") == "ledger.words"
+            ][-1]
+        capsys.readouterr()
+        assert words["shard"] == words["event"]
 
 
 # ----------------------------------------------------------------------
